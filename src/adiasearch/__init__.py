@@ -30,26 +30,18 @@ from .errors import (
 )
 from .model import (
     DEFAULT_ORACLE_CAP,
-    CouplingPoint,
-    EigenSystem,
-    ReducedHamiltonian,
     SearchInstance,
-    adiabatic_projection,
     coupling_rate,
-    eigensystem,
     eigenvalues,
     energy_gap,
     full_hamiltonian,
     mixing_angle,
-    reduced_hamiltonian,
     reduced_terms,
-    theta_dot,
 )
 from .propagate import (
     TRAJECTORY_COLUMNS,
     RunResult,
     Trajectory,
-    TwoLevelState,
     local_analytic_state,
     propagate,
     propagate_full,
@@ -75,16 +67,13 @@ __all__ = [
     "AdiabaticSearchError",
     "AdiabaticityReport",
     "CostReport",
-    "CouplingPoint",
     "DEFAULT_ORACLE_CAP",
     "DegeneratePoint",
-    "EigenSystem",
     "ExactDegenerateN",
     "InvalidParameter",
     "LossPrediction",
     "NonUnit",
     "OracleSizeExceeded",
-    "ReducedHamiltonian",
     "RunConfig",
     "RunResult",
     "Schedule",
@@ -93,12 +82,9 @@ __all__ = [
     "Strategy",
     "TRAJECTORY_COLUMNS",
     "Trajectory",
-    "TwoLevelState",
-    "adiabatic_projection",
     "adiabaticity_check",
     "cost",
     "coupling_rate",
-    "eigensystem",
     "eigenvalues",
     "energy_gap",
     "equal_cost_gamma",
@@ -120,9 +106,7 @@ __all__ = [
     "parallel_schedule",
     "propagate",
     "propagate_full",
-    "reduced_hamiltonian",
     "reduced_terms",
     "resonant_epsilon",
-    "theta_dot",
     "write_trajectory_csv",
 ]

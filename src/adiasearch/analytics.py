@@ -25,12 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
 from . import model
 from .errors import InvalidParameter
-from .schedules import Schedule, Strategy
+from .schedules import Schedule, Strategy, extremum
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ def adiabaticity_check(
 ) -> AdiabaticityReport:
     """Check max theta_dot < eps * min gap / 2 over the window.
 
-    Extremes are located by dense sampling plus local refinement.  The
+    Extremes are located by `schedules.extremum` over `samples` points.  The
     returned ratio is max_theta_dot / (eps * min_gap / 2); the criterion
     holds when it is below 1.
     """
@@ -163,7 +160,6 @@ def adiabaticity_check(
         raise InvalidParameter("a positive epsilon is required for the check")
 
     n = schedule.n
-    t_i, t_f = schedule.window
 
     def rate(t):
         a, b, a_dot, b_dot = schedule.couplings(t)
@@ -173,24 +169,8 @@ def adiabaticity_check(
         a, b, _, _ = schedule.couplings(t)
         return model.energy_gap(a, b, n)
 
-    ts = np.linspace(t_i, t_f, samples)
-
-    def refine(fn, sign: float) -> float:
-        values = sign * fn(ts)
-        i = int(np.argmin(values))
-        best = float(values[i])
-        if 0 < i < len(ts) - 1:
-            res = minimize_scalar(
-                lambda t: sign * float(fn(t)),
-                bounds=(float(ts[i - 1]), float(ts[i + 1])),
-                method="bounded",
-                options={"xatol": 1e-10 * (t_f - t_i)},
-            )
-            best = min(best, float(res.fun))
-        return sign * best
-
-    max_rate = refine(rate, -1.0)
-    min_gap = refine(gap, 1.0)
+    max_rate = extremum(rate, schedule.window, samples, -1.0)
+    min_gap = extremum(gap, schedule.window, samples, 1.0)
     bound = 0.5 * epsilon * min_gap
     ratio = max_rate / bound
     return AdiabaticityReport(

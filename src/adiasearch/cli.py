@@ -55,7 +55,6 @@ class RunConfig:
     shape: str | None = None
     steps: int = 200_000
     output: str = "."
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.strategy = str(self.strategy).lower()
@@ -65,7 +64,6 @@ class RunConfig:
         self.n = int(self.n)
         self.marked = int(self.marked)
         self.steps = int(self.steps)
-        self.seed = int(self.seed)
         self.output = str(self.output)
         for field in ("alpha", "beta", "epsilon", "T", "r"):
             value = getattr(self, field)

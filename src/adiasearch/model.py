@@ -23,8 +23,9 @@ non-adiabatic coupling between the instantaneous eigenvectors is
 Units: hbar = 1 throughout, couplings are angular frequencies.
 
 The kernel functions (`reduced_terms`, `eigenvalues`, `energy_gap`,
-`mixing_angle`, `coupling_rate`) accept scalars or numpy arrays and
-broadcast; the typed wrappers operate on single coupling points.
+`mixing_angle`, `coupling_rate`) and `adiabatic_populations` accept
+scalars or numpy arrays and broadcast.  `full_hamiltonian` builds the
+dense reference matrix for cross-checks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint, InvalidParameter, NonUnit, OracleSizeExceeded
+from .errors import InvalidParameter, OracleSizeExceeded
 
 DEFAULT_ORACLE_CAP = 512
 
@@ -58,44 +59,6 @@ class SearchInstance:
             raise InvalidParameter(
                 f"marked index must lie in [0, {self.n}), got {self.marked}"
             )
-
-
-@dataclass(frozen=True)
-class CouplingPoint:
-    """Instantaneous couplings (a, b) and their time derivatives."""
-
-    a: float
-    b: float
-    a_dot: float = 0.0
-    b_dot: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.a < 0.0 or self.b < 0.0:
-            raise InvalidParameter(
-                f"couplings must be non-negative, got a={self.a}, b={self.b}"
-            )
-
-
-@dataclass(frozen=True)
-class ReducedHamiltonian:
-    """Coefficients of the two-level form: mean*1 + delta*sigma_z + omega*sigma_x."""
-
-    mean: float
-    delta: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Instantaneous eigenvalues and mixing angle, theta in [0, pi/2]."""
-
-    lambda_plus: float
-    lambda_minus: float
-    theta: float
-
-    @property
-    def gap(self) -> float:
-        return self.lambda_plus - self.lambda_minus
 
 
 def reduced_terms(a, b, n):
@@ -142,57 +105,18 @@ def coupling_rate(a, b, a_dot, b_dot, n):
     return num / gap**2
 
 
-def reduced_hamiltonian(point: CouplingPoint, inst: SearchInstance) -> ReducedHamiltonian:
-    """Project the rank-two Hamiltonian onto span{|u>, |m>}."""
-    mean, delta, omega = reduced_terms(point.a, point.b, inst.n)
-    return ReducedHamiltonian(float(mean), float(delta), float(omega))
+def adiabatic_populations(theta, c_u, c_m):
+    """Return (p_plus, p_minus) of amplitudes (c_u, c_m) on the eigenbasis at theta.
 
-
-def eigensystem(point: CouplingPoint, inst: SearchInstance) -> EigenSystem:
-    """Instantaneous eigenvalues and mixing angle at one coupling point.
-
-    Raises DegeneratePoint when a = b = 0, where the splitting vanishes and
-    the eigenvectors are undefined.
+    Broadcasts like the kernels: |+> = cos(theta)|u> + sin(theta)|m>,
+    |-> = sin(theta)|u> - cos(theta)|m>.
     """
-    mean, delta, omega = reduced_terms(point.a, point.b, inst.n)
-    r = float(np.hypot(delta, omega))
-    if r == 0.0:
-        raise DegeneratePoint("a = b = 0: eigenvectors undefined")
-    theta = float(0.5 * np.arctan2(omega, delta))
-    return EigenSystem(float(mean) + r, float(mean) - r, theta)
-
-
-def theta_dot(point: CouplingPoint, inst: SearchInstance) -> float:
-    """Non-adiabatic coupling at one point; requires a nonzero gap."""
-    gap = float(energy_gap(point.a, point.b, inst.n))
-    if gap == 0.0:
-        raise DegeneratePoint("a = b = 0: coupling rate undefined")
-    return float(coupling_rate(point.a, point.b, point.a_dot, point.b_dot, inst.n))
-
-
-def adiabatic_projection(state, point: CouplingPoint, inst: SearchInstance):
-    """Populations (p_plus, p_minus) of `state` on the instantaneous eigenbasis.
-
-    `state` is any (c_u, c_m) amplitude pair, normalized to 1 within 1e-9.
-    The returned pair is normalized so p_plus + p_minus = 1 exactly up to
-    rounding.
-    """
-    c_u, c_m = state
-    nrm = float(np.hypot(abs(c_u), abs(c_m)))
-    if abs(nrm - 1.0) > 1e-9:
-        raise NonUnit(f"state norm {nrm!r} deviates from 1 beyond 1e-9")
-    es = eigensystem(point, inst)
-    c, s = np.cos(es.theta), np.sin(es.theta)
-    amp_plus = c * c_u + s * c_m
-    amp_minus = s * c_u - c * c_m
-    p_plus = float(abs(amp_plus) ** 2)
-    p_minus = float(abs(amp_minus) ** 2)
-    total = p_plus + p_minus
-    return p_plus / total, p_minus / total
+    c, s = np.cos(theta), np.sin(theta)
+    return np.abs(c * c_u + s * c_m) ** 2, np.abs(s * c_u - c * c_m) ** 2
 
 
 def full_hamiltonian(
-    point: CouplingPoint, inst: SearchInstance, cap: int = DEFAULT_ORACLE_CAP
+    a: float, b: float, inst: SearchInstance, cap: int = DEFAULT_ORACLE_CAP
 ) -> np.ndarray:
     """Dense n x n Hamiltonian a*|w><w| + b*|m><m| (real symmetric).
 
@@ -201,6 +125,6 @@ def full_hamiltonian(
     """
     if inst.n > cap:
         raise OracleSizeExceeded(f"n={inst.n} exceeds the dense-operation cap {cap}")
-    h = np.full((inst.n, inst.n), point.a / inst.n, dtype=float)
-    h[inst.marked, inst.marked] += point.b
+    h = np.full((inst.n, inst.n), a / inst.n, dtype=float)
+    h[inst.marked, inst.marked] += b
     return h

@@ -32,35 +32,12 @@ from .errors import (
     OracleSizeExceeded,
 )
 from .model import DEFAULT_ORACLE_CAP, SearchInstance
-from .schedules import Schedule, Strategy
+from .schedules import Schedule
 
 TRAJECTORY_COLUMNS = (
     "t", "a", "b", "lambda_plus", "lambda_minus", "theta", "theta_dot",
     "p_u", "p_m", "p_plus", "p_minus", "norm",
 )
-
-
-@dataclass(frozen=True)
-class TwoLevelState:
-    """Amplitude pair on an ordered two-state basis, unit norm within 1e-9.
-
-    The propagator uses the (|u>, |m>) basis; `local_analytic_state` packs
-    the adiabatic-frame (plus, minus) amplitudes into the same slots.
-    """
-
-    c_u: complex
-    c_m: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.norm() - 1.0) > 1e-9:
-            raise NonUnit(f"state norm {self.norm()!r} deviates from 1 beyond 1e-9")
-
-    def norm(self) -> float:
-        return math.hypot(abs(self.c_u), abs(self.c_m))
-
-    def __iter__(self):
-        yield self.c_u
-        yield self.c_m
 
 
 @dataclass(frozen=True)
@@ -111,8 +88,8 @@ def local_analytic_state(tau: float, epsilon: float) -> float:
     return (epsilon * epsilon / kappa_sq) * (s * s)
 
 
-def _run_summary(schedule: Schedule, inst: SearchInstance,
-                 p_m_final: float, p_loss: float, norm_drift: float) -> RunResult:
+def _run_summary(schedule: Schedule, p_m_final: float, p_loss: float,
+                 norm_drift: float) -> RunResult:
     report = schedules.cost(schedule)
     t_i, t_f = schedule.window
     _, b_i, _, _ = schedule.couplings(t_i)
@@ -199,11 +176,7 @@ def propagate(
     p_u = np.abs(amps[:, 0]) ** 2
     p_m = np.abs(amps[:, 1]) ** 2
     norm = np.sqrt(p_u + p_m)
-    cth, sth = np.cos(theta), np.sin(theta)
-    amp_plus = cth * amps[:, 0] + sth * amps[:, 1]
-    amp_minus = sth * amps[:, 0] - cth * amps[:, 1]
-    p_plus = np.abs(amp_plus) ** 2
-    p_minus = np.abs(amp_minus) ** 2
+    p_plus, p_minus = model.adiabatic_populations(theta, amps[:, 0], amps[:, 1])
 
     drift = float(np.max(np.abs(norm - 1.0)))
     if drift > 1e-9:
@@ -215,7 +188,7 @@ def propagate(
         p_u=p_u, p_m=p_m, p_plus=p_plus, p_minus=p_minus, norm=norm,
     )
     p_loss = min(1.0, max(0.0, float(1.0 - p_plus[-1])))
-    result = _run_summary(schedule, inst, float(p_m[-1]), p_loss, drift)
+    result = _run_summary(schedule, float(p_m[-1]), p_loss, drift)
     return trajectory, result
 
 
@@ -278,10 +251,9 @@ def propagate_full(
     c_u = (psi.sum() - c_m) / math.sqrt(n - 1.0)
     p_m_final = float(abs(c_m) ** 2)
     a_f, b_f, _, _ = schedule.couplings(t_f)
-    theta_f = float(model.mixing_angle(a_f, b_f, n))
-    amp_plus = math.cos(theta_f) * c_u + math.sin(theta_f) * c_m
-    p_loss = min(1.0, max(0.0, float(1.0 - abs(amp_plus) ** 2)))
-    return _run_summary(schedule, inst, p_m_final, p_loss, drift)
+    p_plus, _ = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)
+    p_loss = min(1.0, max(0.0, float(1.0 - p_plus)))
+    return _run_summary(schedule, p_m_final, p_loss, drift)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

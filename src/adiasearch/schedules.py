@@ -129,14 +129,6 @@ class Schedule:
         b_dot = beta * (root_dot + f_dot / sqrt_n)
         return a, b, a_dot, b_dot
 
-    def at(self, t: float):
-        """CouplingPoint at one time."""
-        from .model import CouplingPoint
-
-        a, b, a_dot, b_dot = self.couplings(t)
-        # clip rounding-level negatives at the window edges
-        return CouplingPoint(max(float(a), 0.0), max(float(b), 0.0), float(a_dot), float(b_dot))
-
     def to_config(self) -> dict:
         """JSON-ready description; inverse of `Schedule.from_config`."""
         key = "beta" if self.kind is Strategy.PARALLEL else "alpha"
@@ -230,27 +222,39 @@ def parallel_schedule(
                     (-half, half), r=float(r), shape=shape)
 
 
-def cost(schedule: Schedule) -> CostReport:
-    """Peak coupling times effective duration.
+def extremum(fn, window: tuple[float, float], samples: int, sign: float) -> float:
+    """Minimum (sign = 1) or maximum (sign = -1) of fn over the window.
 
-    a_peak is located by dense sampling over the window followed by local
-    refinement, accurate to 1e-10 relative; t_eff is the window length
-    (r*T_par for the parallel strategy).
+    `fn` maps times (scalar or array) to values.  The extremum is located
+    by sampling `samples` uniform points and, when it falls inside, by a
+    bounded refinement between the neighbouring samples to 1e-10 of the
+    window length.
     """
-    t_i, t_f = schedule.window
-    ts = np.linspace(t_i, t_f, 4097)
-    a = schedule.couplings(ts)[0]
-    i = int(np.argmax(a))
-    best = float(a[i])
+    t_i, t_f = window
+    ts = np.linspace(t_i, t_f, samples)
+    values = sign * fn(ts)
+    i = int(np.argmin(values))
+    best = float(values[i])
     if 0 < i < len(ts) - 1:
         res = minimize_scalar(
-            lambda t: -float(schedule.couplings(t)[0]),
+            lambda t: sign * float(fn(t)),
             bounds=(float(ts[i - 1]), float(ts[i + 1])),
             method="bounded",
             options={"xatol": 1e-10 * (t_f - t_i)},
         )
-        best = max(best, -float(res.fun))
-    a_peak = max(best, float(a[0]), float(a[-1]))
+        best = min(best, float(res.fun))
+    return sign * best
+
+
+def cost(schedule: Schedule) -> CostReport:
+    """Peak coupling times effective duration.
+
+    a_peak is located by `extremum` over 4097 samples, accurate to 1e-10
+    relative; t_eff is the window length (r*T_par for the parallel
+    strategy).
+    """
+    t_i, t_f = schedule.window
+    a_peak = extremum(lambda t: schedule.couplings(t)[0], schedule.window, 4097, -1.0)
     t_eff = t_f - t_i
     return CostReport(a_peak=a_peak, t_eff=t_eff, cost=a_peak * t_eff)
 

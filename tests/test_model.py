@@ -4,23 +4,17 @@ import numpy as np
 import pytest
 
 from adiasearch import (
-    CouplingPoint,
-    DegeneratePoint,
     InvalidParameter,
-    NonUnit,
     OracleSizeExceeded,
     SearchInstance,
-    adiabatic_projection,
     coupling_rate,
-    eigensystem,
     eigenvalues,
     energy_gap,
     full_hamiltonian,
     mixing_angle,
-    reduced_hamiltonian,
     reduced_terms,
-    theta_dot,
 )
+from adiasearch.model import adiabatic_populations
 
 
 class TestSearchInstance:
@@ -35,18 +29,6 @@ class TestSearchInstance:
     def test_rejects_bad(self, n, marked):
         with pytest.raises(InvalidParameter):
             SearchInstance(n, marked)
-
-
-class TestCouplingPoint:
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidParameter):
-            CouplingPoint(-0.1, 0.0)
-        with pytest.raises(InvalidParameter):
-            CouplingPoint(0.0, -1e-9)
-
-    def test_derivatives_default_zero(self):
-        p = CouplingPoint(1.0, 0.5)
-        assert p.a_dot == 0.0 and p.b_dot == 0.0
 
 
 class TestReducedTerms:
@@ -66,11 +48,6 @@ class TestReducedTerms:
         assert delta == pytest.approx(-0.025, rel=1e-15)
         assert omega == pytest.approx(0.10897247358851685, rel=1e-15)
 
-    def test_wrapper_matches_kernel(self, inst20):
-        h = reduced_hamiltonian(CouplingPoint(0.8, 0.3), inst20)
-        mean, delta, omega = reduced_terms(0.8, 0.3, 20)
-        assert (h.mean, h.delta, h.omega) == (mean, delta, omega)
-
 
 class TestEigensystem:
     def test_projector_spectrum(self):
@@ -79,37 +56,30 @@ class TestEigensystem:
             assert lam_p == pytest.approx(1.0, abs=1e-14)
             assert lam_m == pytest.approx(0.0, abs=1e-14)
 
-    def test_symmetric_point_n4(self, inst4):
-        es = eigensystem(CouplingPoint(0.5, 0.5), inst4)
-        assert es.lambda_plus == pytest.approx(0.75, rel=1e-14)
-        assert es.lambda_minus == pytest.approx(0.25, rel=1e-14)
-        assert es.gap == pytest.approx(0.5, rel=1e-14)
+    def test_symmetric_point_n4(self):
+        lam_p, lam_m = eigenvalues(0.5, 0.5, 4)
+        assert lam_p == pytest.approx(0.75, rel=1e-14)
+        assert lam_m == pytest.approx(0.25, rel=1e-14)
+        assert energy_gap(0.5, 0.5, 4) == pytest.approx(0.5, rel=1e-14)
 
-    def test_final_point_theta_is_half_pi(self, inst20):
-        es = eigensystem(CouplingPoint(0.0, 1.0), inst20)
-        assert es.theta == pytest.approx(math.pi / 2, rel=1e-15)
+    def test_final_point_theta_is_half_pi(self):
+        assert mixing_angle(0.0, 1.0, 20) == pytest.approx(math.pi / 2, rel=1e-15)
 
-    def test_initial_point_theta(self, inst20):
+    def test_initial_point_theta(self):
         # |+> must equal |w>: cos(theta) = sqrt(19/20), sin(theta) = 1/sqrt(20)
-        es = eigensystem(CouplingPoint(1.0, 0.0), inst20)
-        assert es.theta == pytest.approx(math.atan(1 / math.sqrt(19)), rel=1e-14)
-        assert math.cos(es.theta) == pytest.approx(math.sqrt(19 / 20), rel=1e-14)
-
-    def test_degenerate_point_rejected(self, inst20):
-        with pytest.raises(DegeneratePoint):
-            eigensystem(CouplingPoint(0.0, 0.0), inst20)
-        with pytest.raises(DegeneratePoint):
-            theta_dot(CouplingPoint(0.0, 0.0, 1.0, 1.0), inst20)
+        theta = mixing_angle(1.0, 0.0, 20)
+        assert theta == pytest.approx(math.atan(1 / math.sqrt(19)), rel=1e-14)
+        assert math.cos(theta) == pytest.approx(math.sqrt(19 / 20), rel=1e-14)
 
 
 class TestCouplingRate:
-    def test_linear_midpoint_value(self, inst20):
+    def test_linear_midpoint_value(self):
         # a = b = 0.5, da/dt = -1, db/dt = +1 over unit total time: sqrt(n-1)
-        rate = theta_dot(CouplingPoint(0.5, 0.5, -1.0, 1.0), inst20)
+        rate = coupling_rate(0.5, 0.5, -1.0, 1.0, 20)
         assert rate == pytest.approx(4.358898943540674, rel=1e-13)
 
-    def test_static_point_rate_zero(self, inst20):
-        assert theta_dot(CouplingPoint(0.7, 0.2), inst20) == 0.0
+    def test_static_point_rate_zero(self):
+        assert coupling_rate(0.7, 0.2, 0.0, 0.0, 20) == 0.0
 
     def test_kernel_broadcasts(self):
         rate = coupling_rate(
@@ -120,45 +90,38 @@ class TestCouplingRate:
 
 
 class TestAdiabaticProjection:
-    def test_unmarked_basis_state(self, inst20):
-        point = CouplingPoint(1.0, 0.0)
-        p_plus, p_minus = adiabatic_projection((1.0, 0.0), point, inst20)
-        theta = eigensystem(point, inst20).theta
+    def test_unmarked_basis_state(self):
+        theta = mixing_angle(1.0, 0.0, 20)
+        p_plus, p_minus = adiabatic_populations(theta, 1.0, 0.0)
         assert p_plus == pytest.approx(math.cos(theta) ** 2, rel=1e-13)
         assert p_plus + p_minus == pytest.approx(1.0, abs=1e-15)
 
-    def test_plus_state_projects_to_itself(self, inst20):
-        point = CouplingPoint(0.9, 0.4)
-        theta = eigensystem(point, inst20).theta
-        state = (math.cos(theta), math.sin(theta))
-        p_plus, p_minus = adiabatic_projection(state, point, inst20)
+    def test_plus_state_projects_to_itself(self):
+        theta = mixing_angle(0.9, 0.4, 20)
+        p_plus, p_minus = adiabatic_populations(theta, math.cos(theta), math.sin(theta))
         assert p_plus == pytest.approx(1.0, abs=1e-12)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
 
-    def test_equal_weight_at_quarter_angle(self, inst4):
+    def test_equal_weight_at_quarter_angle(self):
         # b = a(1 - 2/n) makes delta vanish, so theta = pi/4
-        point = CouplingPoint(1.0, 0.5)
-        assert eigensystem(point, inst4).theta == pytest.approx(math.pi / 4, rel=1e-14)
+        theta = mixing_angle(1.0, 0.5, 4)
+        assert theta == pytest.approx(math.pi / 4, rel=1e-14)
         s = 1 / math.sqrt(2)
-        p_plus, _ = adiabatic_projection((s, 1j * s), point, inst4)
+        p_plus, _ = adiabatic_populations(theta, s, 1j * s)
         assert p_plus == pytest.approx(0.5, abs=1e-13)
-
-    def test_rejects_non_unit_state(self, inst20):
-        with pytest.raises(NonUnit):
-            adiabatic_projection((1.0, 0.1), CouplingPoint(1.0, 0.0), inst20)
 
 
 class TestFullHamiltonian:
     def test_uniform_projector_n2(self):
-        h = full_hamiltonian(CouplingPoint(1.0, 0.0), SearchInstance(2))
+        h = full_hamiltonian(1.0, 0.0, SearchInstance(2))
         assert np.array_equal(h, np.full((2, 2), 0.5))
 
     def test_marked_projector_n3(self):
-        h = full_hamiltonian(CouplingPoint(0.0, 1.0), SearchInstance(3, 1))
+        h = full_hamiltonian(0.0, 1.0, SearchInstance(3, 1))
         assert np.array_equal(h, np.diag([0.0, 1.0, 0.0]))
 
     def test_dense_spectrum_matches_reduction(self):
-        h = full_hamiltonian(CouplingPoint(1.0, 1.0), SearchInstance(4, 0))
+        h = full_hamiltonian(1.0, 1.0, SearchInstance(4, 0))
         dense = np.linalg.eigvalsh(h)
         lam_p, lam_m = eigenvalues(1.0, 1.0, 4)
         assert dense[-1] == pytest.approx(lam_p, abs=1e-12)
@@ -167,8 +130,8 @@ class TestFullHamiltonian:
     def test_size_cap(self):
         big = SearchInstance(513)
         with pytest.raises(OracleSizeExceeded):
-            full_hamiltonian(CouplingPoint(1.0, 0.0), big)
-        assert full_hamiltonian(CouplingPoint(1.0, 0.0), big, cap=1024).shape == (513, 513)
+            full_hamiltonian(1.0, 0.0, big)
+        assert full_hamiltonian(1.0, 0.0, big, cap=1024).shape == (513, 513)
 
     def test_spectral_equivalence_random(self):
         rng = np.random.default_rng(7)
@@ -176,7 +139,7 @@ class TestFullHamiltonian:
             n = int(rng.integers(2, 65))
             inst = SearchInstance(n, int(rng.integers(0, n)))
             a, b = rng.uniform(0.1, 2.0, size=2)
-            dense = np.linalg.eigvalsh(full_hamiltonian(CouplingPoint(a, b), inst))
+            dense = np.linalg.eigvalsh(full_hamiltonian(a, b, inst))
             lam_p, lam_m = eigenvalues(a, b, n)
             assert abs(dense[-1] - lam_p) < 1e-10
             assert abs(dense[-2] - lam_m) < 1e-10

@@ -5,13 +5,13 @@ import pytest
 
 from adiasearch import (
     DEFAULT_ORACLE_CAP,
+    DegeneratePoint,
     InvalidParameter,
     NonUnit,
     OracleSizeExceeded,
     SearchInstance,
     Strategy,
     TRAJECTORY_COLUMNS,
-    TwoLevelState,
     linear_schedule,
     local_analytic_state,
     local_loss_exact,
@@ -199,17 +199,6 @@ class TestFullVersusReduced:
                            steps=2000, cap=4)
 
 
-class TestTwoLevelState:
-    def test_norm_enforced(self):
-        with pytest.raises(NonUnit):
-            TwoLevelState(1.0, 1.0)
-
-    def test_iterates_amplitudes(self):
-        c_u, c_m = TwoLevelState(math.sqrt(0.75), 0.5j)
-        assert c_u == pytest.approx(math.sqrt(0.75))
-        assert c_m == 0.5j
-
-
 class TestLocalAnalyticState:
     def test_zero_phase(self):
         assert local_analytic_state(0.0, 0.1) == 0.0
@@ -244,6 +233,17 @@ class TestValidation:
         sched = local_schedule(1.0, 0.2, inst20)
         with pytest.raises(InvalidParameter):
             propagate(sched, SearchInstance(21), steps=2000)
+
+    def test_degenerate_schedule_rejected(self, inst20):
+        # a = b = 0: the splitting vanishes and the eigenbasis is undefined
+        with pytest.raises(DegeneratePoint):
+            propagate(FrozenSchedule(0.0, 0.0, 20), inst20, steps=2000)
+
+    def test_full_norm_drift_rejected(self):
+        # RK4 at |H| dt = 1 loses norm on every step, far beyond 1e-7
+        with pytest.raises(NonUnit):
+            propagate_full(FrozenSchedule(1.0, 0.0, 16, t_total=1000.0),
+                           SearchInstance(16), steps=1000)
 
 
 class TestTrajectoryCsv:

@@ -61,15 +61,16 @@ class TestLocalSchedule:
 
     def test_boundaries_exact(self, inst20):
         sched = local_schedule(1.3, 0.17, inst20)
-        start, end = sched.at(0.0), sched.at(sched.t_char)
-        assert start.a == 1.3 and start.b == 0.0
-        assert end.a == 0.0 and end.b == 1.3
+        a_start, b_start, _, _ = sched.couplings(0.0)
+        a_end, b_end, _, _ = sched.couplings(sched.t_char)
+        assert a_start == 1.3 and b_start == 0.0
+        assert a_end == 0.0 and b_end == 1.3
 
     def test_midpoint_symmetric(self, inst20):
         sched = local_schedule(1.0, 0.1, inst20)
-        mid = sched.at(0.5 * sched.t_char)
-        assert mid.a == pytest.approx(0.5, rel=1e-14)
-        assert mid.b == pytest.approx(0.5, rel=1e-14)
+        a, b, _, _ = sched.couplings(0.5 * sched.t_char)
+        assert a == pytest.approx(0.5, rel=1e-14)
+        assert b == pytest.approx(0.5, rel=1e-14)
 
     def test_sum_rule(self, inst20):
         sched = local_schedule(1.7, 0.08, inst20)
@@ -116,22 +117,23 @@ class TestParallelSchedule:
         assert sched.window == (-18.8, 18.8)
 
     def test_apex_couplings(self, inst20):
-        point = parallel_schedule(2.0, 1.0, inst20).at(0.0)
-        assert point.a == pytest.approx(2.0, rel=1e-15)
-        assert point.b == pytest.approx(2.0, rel=1e-15)
-        gap = float(energy_gap(point.a, point.b, 20))
+        a, b, _, _ = parallel_schedule(2.0, 1.0, inst20).couplings(0.0)
+        assert a == pytest.approx(2.0, rel=1e-15)
+        assert b == pytest.approx(2.0, rel=1e-15)
+        gap = float(energy_gap(a, b, 20))
         assert gap == pytest.approx(2 * 2.0 / math.sqrt(20), rel=1e-13)
 
     def test_untruncated_limit_boundaries(self, inst20):
         # r large enough that tanh saturates to +-1 in float arithmetic
         sched = parallel_schedule(1.0, 1.0, inst20, r=100.0)
-        start, end = sched.at(sched.window[0]), sched.at(sched.window[1])
-        assert start.a == pytest.approx(2 / math.sqrt(20), rel=1e-14)
-        assert start.b == pytest.approx(0.0, abs=1e-15)
-        assert end.a == pytest.approx(0.0, abs=1e-15)
+        a_start, b_start, _, _ = sched.couplings(sched.window[0])
+        a_end = sched.couplings(sched.window[1])[0]
+        assert a_start == pytest.approx(2 / math.sqrt(20), rel=1e-14)
+        assert b_start == pytest.approx(0.0, abs=1e-15)
+        assert a_end == pytest.approx(0.0, abs=1e-15)
 
     def test_truncation_residual_r8(self, inst20):
-        b_start = parallel_schedule(1.0, 1.0, inst20, r=8.0).at(-4.0).b
+        b_start = parallel_schedule(1.0, 1.0, inst20, r=8.0).couplings(-4.0)[1]
         assert b_start == pytest.approx(0.005961181821849737 / 2, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [Shape.TANH, Shape.ERF])
