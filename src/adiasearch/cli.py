@@ -29,7 +29,7 @@ import numpy as np
 from . import analytics, schedules
 from .errors import AdiabaticSearchError, InvalidParameter
 from .model import DEFAULT_ORACLE_CAP, SearchInstance
-from .propagate import propagate, propagate_full, write_trajectory_csv
+from .propagate import DEFAULT_STEPS, propagate, propagate_full, write_trajectory_csv
 from .schedules import Schedule, Shape, Strategy
 
 _STRATEGIES = tuple(s.value for s in Strategy)
@@ -53,7 +53,7 @@ class RunConfig:
     T: float | None = None
     r: float | None = None
     shape: str | None = None
-    steps: int = 200_000
+    steps: int = DEFAULT_STEPS
     output: str = "."
 
     def __post_init__(self) -> None:
@@ -277,7 +277,7 @@ def cmd_sweep(variable: str, values: list[float], template: RunConfig,
     return 0
 
 
-def cmd_compare(epsilon: float, r: float, n: int, steps: int = 200_000,
+def cmd_compare(epsilon: float, r: float, n: int, steps: int = DEFAULT_STEPS,
                 output: str = ".") -> int:
     inst = SearchInstance(n)
     local = schedules.local_schedule(1.0, epsilon, inst)
@@ -325,7 +325,7 @@ def _check_schedules(n: int, inst: SearchInstance) -> list[Schedule]:
     ]
 
 
-def cmd_check(n_list: list[int], seed: int = 0, steps: int = 800_000,
+def cmd_check(n_list: list[int], seed: int = 0, steps: int = DEFAULT_STEPS,
               full_steps: int = 30_000, tolerance: float = 1e-7,
               output: str = ".") -> int:
     if not n_list:
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel window half-widths in units of T (default 8)")
         p.add_argument("--shape", choices=_SHAPES, default=None,
                        help="parallel switching profile (default tanh)")
-        p.add_argument("--steps", type=int, default=200_000)
+        p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
         p.add_argument("--output", default=".", help="output directory")
 
     run_p = sub.add_parser("run", help="single propagation")
@@ -408,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare_p.add_argument("--epsilon", type=float, required=True)
     compare_p.add_argument("--r", type=float, required=True)
     compare_p.add_argument("--n", type=int, required=True)
-    compare_p.add_argument("--steps", type=int, default=200_000)
+    compare_p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     compare_p.add_argument("--output", default=".")
 
     check_p = sub.add_parser(
         "check", help="reduced vs full-space propagation agreement")
     check_p.add_argument("--n-list", type=int, nargs="+", default=[4, 20, 128])
     check_p.add_argument("--seed", type=int, default=0)
-    check_p.add_argument("--steps", type=int, default=800_000,
+    check_p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                          help="reduced-propagation steps")
     check_p.add_argument("--full-steps", type=int, default=30_000,
                          help="full-space RK4 steps")

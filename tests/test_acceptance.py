@@ -28,10 +28,11 @@ from adiasearch import (
     propagate,
 )
 from adiasearch.cli import main
+from adiasearch.propagate import DEFAULT_STEPS
 
 from conftest import EPS_REF
 
-BASE_STEPS = 200_000
+BASE_STEPS = DEFAULT_STEPS
 INV_GAMMA_GRID = np.linspace(1.0, 2.5, 12)
 FLOOR_POINTS = (2.5, 3.0, 3.5)
 SIZE_GRID = (10, 20, 50, 100, 300, 1000)

@@ -16,11 +16,14 @@ from adiasearch import (
     local_analytic_state,
     local_loss_exact,
     local_schedule,
+    parallel_loss_gamma,
     parallel_schedule,
     propagate,
     propagate_full,
     write_trajectory_csv,
 )
+
+from adiasearch.propagate import DEFAULT_STEPS
 
 from conftest import EPS_REF
 
@@ -229,6 +232,11 @@ class TestValidation:
             propagate(local_schedule(1.0, 0.2, inst20), inst20,
                       steps=2000, stride=0)
 
+    def test_stride_above_steps_keeps_endpoints(self, inst20):
+        traj, _ = propagate(local_schedule(1.0, 0.2, inst20), inst20,
+                            steps=2000, stride=10**15)
+        assert len(traj) == 2
+
     def test_size_mismatch(self, inst20):
         sched = local_schedule(1.0, 0.2, inst20)
         with pytest.raises(InvalidParameter):
@@ -260,3 +268,127 @@ class TestTrajectoryCsv:
         assert float(first[11]) == pytest.approx(1.0, abs=1e-9)
         # cells use shortest round-trip style, 12 significant digits
         assert all(len(cell) <= 19 for cell in lines[2].split(","))
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("n, tolerance", [(10**4, 1e-9), (10**6, 1e-9), (10**8, 1e-8)])
+    def test_local_large_n_against_closed_form(self, n, tolerance):
+        inst = SearchInstance(n)
+        _, result = propagate(local_schedule(1.0, EPS_REF, inst), inst)
+        error = abs(result.p_loss - local_loss_exact(EPS_REF, n))
+        assert error < tolerance
+        assert result.error_estimate >= error
+
+    def test_estimate_follows_discretization_error(self, inst20):
+        # at 2000 steps the Richardson part dominates the rounding term
+        _, result = propagate(local_schedule(1.0, EPS_REF, inst20), inst20, steps=2000)
+        error = abs(result.p_loss - local_loss_exact(EPS_REF, 20))
+        assert error <= result.error_estimate <= 4.0 * error
+
+    def test_parallel_against_mpmath(self, inst20):
+        sched = parallel_schedule(1.0, 4.7, inst20, r=12.0)
+        _, result = propagate(sched, inst20)
+        p_m, p_loss = _mpmath_reference(sched, steps=500)
+        for value, reference in ((result.p_m_final, p_m), (result.p_loss, p_loss)):
+            assert abs(value - reference) <= 1e-12
+            assert abs(value - reference) <= result.error_estimate
+
+
+def _mpmath_reference(sched, steps):
+    """Final (p_m, p_minus) of a parallel tanh run: sixth-order Magnus at 30 digits.
+
+    With A = -i (v_z sigma_z + v_x sigma_x + v_y sigma_y) stored as the
+    vector v = (v_x, v_y, v_z), [A(u), A(v)] = A(2 u x v).  The step is
+    the three-Gauss-point formula of Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009), on a grid uniform in t.  Its error falls 64x per halving
+    of the step here; at 500 steps it is ~1e-14 against `mpmath.odefun`
+    at 1e-15 tolerance.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        n = mpmath.mpf(sched.n)
+        t_par = mpmath.mpf(sched.t_char)
+        sqrt_n = mpmath.sqrt(n)
+
+        def field(t):
+            f = mpmath.tanh(t / t_par)
+            root = mpmath.sqrt(1 - (n - 1) / n * f * f)
+            a = root - f / sqrt_n
+            b = root + f / sqrt_n
+            return [a * mpmath.sqrt(n - 1) / n, mpmath.mpf(0), (a - b) / 2 - a / n]
+
+        def comm(u, v):
+            return [2 * (u[1] * v[2] - u[2] * v[1]), 2 * (u[2] * v[0] - u[0] * v[2]),
+                    2 * (u[0] * v[1] - u[1] * v[0])]
+
+        def comb(*terms):
+            return [sum(c * u[i] for c, u in terms) for i in range(3)]
+
+        t_i, t_f = (mpmath.mpf(x) for x in sched.window)
+        h = (t_f - t_i) / steps
+        g = mpmath.sqrt(15) / 10
+        half = mpmath.mpf(1) / 2
+        c_u, c_m = mpmath.sqrt((n - 1) / n), 1 / sqrt_n
+        for k in range(steps):
+            t0 = t_i + k * h
+            f1, f2, f3 = (field(t0 + (half + c) * h) for c in (-g, 0, g))
+            b1 = comb((h, f2))
+            b2 = comb((mpmath.sqrt(15) * h / 3, f3), (-mpmath.sqrt(15) * h / 3, f1))
+            b3 = comb((10 * h / 3, f3), (-20 * h / 3, f2), (10 * h / 3, f1))
+            c1 = comm(b1, b2)
+            c2 = comb((-mpmath.mpf(1) / 60, comm(b1, comb((2, b3), (1, c1)))))
+            x, y, z = comb((1, b1), (mpmath.mpf(1) / 12, b3), (mpmath.mpf(1) / 240, comm(
+                comb((-20, b1), (-1, b3), (1, c1)), comb((1, b2), (1, c2)))))
+            angle = mpmath.sqrt(x * x + y * y + z * z)
+            sinc = mpmath.sin(angle) / angle
+            alpha = mpmath.mpc(mpmath.cos(angle), -sinc * z)
+            beta = mpmath.mpc(sinc * y, -sinc * x)
+            c_u, c_m = (alpha * c_u - mpmath.conj(beta) * c_m,
+                        beta * c_u + mpmath.conj(alpha) * c_m)
+        x, _, z = field(t_f)
+        theta = mpmath.atan2(x, z) / 2
+        p_minus = abs(mpmath.sin(theta) * c_u - mpmath.cos(theta) * c_m) ** 2
+        return float(abs(c_m) ** 2), float(p_minus)
+
+
+class TestPaperClaim:
+    """Constant-gap loss ~ sech^2(pi/gamma), whatever n, down to 1e-16."""
+
+    @pytest.mark.parametrize("inv_gamma", [4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_loss_in_band(self, n, inv_gamma):
+        inst = SearchInstance(n)
+        sched = parallel_schedule(1.0, inv_gamma * math.sqrt(n), inst, r=24.0)
+        _, result = propagate(sched, inst)
+        ratio = result.p_loss / parallel_loss_gamma(1.0 / inv_gamma)[0]
+        assert 0.5 <= ratio <= 2.0
+
+    def test_large_n(self):
+        # At n = 1e6 an r = 24 window ends with boundary residual 1.5e-7,
+        # and its loss, 1.84e-15, is the truncation floor: the same to four
+        # digits at 4x the steps.  A window of r = 32 puts the floor below
+        # sech^2(6 pi) = 1.7e-16.
+        inst = SearchInstance(10**6)
+        floor = [propagate(parallel_schedule(1.0, 6000.0, inst, r=24.0), inst,
+                           steps=steps)[1].p_loss
+                 for steps in (DEFAULT_STEPS, 4 * DEFAULT_STEPS)]
+        assert abs(floor[1] - floor[0]) <= 1e-4 * floor[0]
+        _, result = propagate(parallel_schedule(1.0, 6000.0, inst, r=32.0), inst)
+        ratio = result.p_loss / parallel_loss_gamma(1.0 / 6.0)[0]
+        assert 0.5 <= ratio <= 2.0
+
+
+class TestTrajectoryContract:
+    @pytest.mark.parametrize("steps", [4000, 6000, 8000, DEFAULT_STEPS])
+    @pytest.mark.parametrize("build", [
+        lambda inst: local_schedule(1.0, EPS_REF, inst),
+        lambda inst: parallel_schedule(1.0, 3.1, inst, r=6.5, shape="erf"),
+    ], ids=["local", "parallel"])
+    def test_rows_and_endpoints(self, inst20, build, steps):
+        sched = build(inst20)
+        traj, result = propagate(sched, inst20, steps=steps)
+        stride = max(1, steps // 2000)
+        assert len(traj) == steps // stride + 1 + (1 if steps % stride else 0)
+        assert np.all(np.diff(traj.t) > 0)
+        assert (traj.t[0], traj.t[-1]) == sched.window
+        assert traj.p_m[-1] == result.p_m_final
