@@ -330,25 +330,32 @@ def cmd_check(n_list: list[int], seed: int = 0, steps: int = DEFAULT_STEPS,
               output: str = ".") -> int:
     if not n_list:
         raise InvalidParameter("--n-list must be non-empty")
-    if tolerance <= 0:
-        raise InvalidParameter(f"--tolerance must be positive, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise InvalidParameter(
+            f"--tolerance must be finite and positive, got {tolerance!r}")
+    if steps < 1000:
+        raise InvalidParameter(f"--steps must be at least 1000, got {steps}")
     cap = _oracle_cap()
     rng = np.random.default_rng(seed)
-    entries = []
+    insts, batch = [], []
     for n in n_list:
-        marked = int(rng.integers(0, n))
-        inst = SearchInstance(n, marked)
+        inst = SearchInstance(n, int(rng.integers(0, n)))
         for schedule in _check_schedules(n, inst):
-            _, reduced = propagate(schedule, inst, steps=steps)
-            full = propagate_full(schedule, inst, steps=full_steps, cap=cap)
-            entries.append({
-                "n": n,
-                "marked": marked,
-                "strategy": schedule.kind.value,
-                "p_m_reduced": reduced.p_m_final,
-                "p_m_full": full.p_m_final,
-                "delta": abs(reduced.p_m_final - full.p_m_final),
-            })
+            insts.append(inst)
+            batch.append(schedule)
+    # one oracle call for every entry; its guards run before any propagation
+    fulls = propagate_full(batch, insts, steps=full_steps, cap=cap)
+    entries = []
+    for inst, schedule, full in zip(insts, batch, fulls):
+        _, reduced = propagate(schedule, inst, steps=steps)
+        entries.append({
+            "n": inst.n,
+            "marked": inst.marked,
+            "strategy": schedule.kind.value,
+            "p_m_reduced": reduced.p_m_final,
+            "p_m_full": full.p_m_final,
+            "delta": abs(reduced.p_m_final - full.p_m_final),
+        })
     max_delta = max(entry["delta"] for entry in entries)
     report = {
         "seed": seed,

@@ -20,8 +20,11 @@ other one give a half-resolution run, and the difference, divided by
 
 `propagate_full` is an independent cross-check that never builds the
 two-level reduction: it integrates the full n-dimensional Schrodinger
-equation with classic RK4, applying H through its rank-two structure
-(H psi = a <w|psi> |w> + b psi_m e_m, O(n) per product).  Agreement of
+equation with classic RK4, applying H through its rank-two factors
+(H psi = a <w|psi> |w> + b psi_m e_m, O(n) per product).  It takes a
+batch of (schedule, instance) rows, concatenates their states into one
+flat vector and advances all of them in one loop over the steps, each
+row with its own window and dt; the guards are per row.  Agreement of
 p_m between the two paths validates the reduction end to end.
 """
 
@@ -50,6 +53,10 @@ DEFAULT_STEPS = 16_000
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 6.0
 _EPS = float(np.finfo(float).eps)
+
+# steps of `propagate_full` whose couplings are sampled at once; keeps the
+# coefficient arrays small whatever `steps` is
+_FULL_BLOCK = 1000
 
 TRAJECTORY_COLUMNS = (
     "t", "a", "b", "lambda_plus", "lambda_minus", "theta", "theta_dot",
@@ -278,67 +285,93 @@ def propagate(
 
 
 def propagate_full(
-    schedule: Schedule,
-    inst: SearchInstance,
+    schedules: list[Schedule],
+    insts: list[SearchInstance],
     steps: int = 200_000,
     cap: int = DEFAULT_ORACLE_CAP,
-) -> RunResult:
-    """Full n-dimensional RK4 cross-check; never forms the two-level reduction.
+) -> list[RunResult]:
+    """Full n-dimensional RK4 cross-check of a batch of rows; one RunResult each.
 
-    Refuses with OracleSizeExceeded above `cap`; raises NonUnit when the
-    (non-symplectic) integrator drifts the norm beyond 1e-7.
+    Row i propagates schedules[i] on insts[i] over its own window with its
+    own dt = window / steps.  The rows' states are concatenated into one
+    flat vector, and one loop over the steps advances them all.  H is
+    applied through its rank-two factors on each row's own slice, never
+    through the two-level reduction: H psi = a <w|psi> |w> + b psi_m e_m,
+    where <w|psi> |w> puts the slice's sum divided by n on every entry.
+
+    Every guard is checked before any stepping: a batch that is empty or
+    whose lists differ in length, `steps` below 1000, and, per row, a
+    schedule built for another n (InvalidParameter) or n above `cap`
+    (OracleSizeExceeded).  After stepping, NonUnit names the first row
+    whose own norm the (non-symplectic) integrator drifted beyond 1e-7.
     """
-    if schedule.n != inst.n:
-        raise InvalidParameter(f"schedule built for n={schedule.n}, instance has n={inst.n}")
-    if inst.n > cap:
-        raise OracleSizeExceeded(f"n={inst.n} exceeds the dense-propagation cap {cap}")
+    if len(schedules) != len(insts):
+        raise InvalidParameter(
+            f"batch has {len(schedules)} schedules but {len(insts)} instances")
+    if not schedules:
+        raise InvalidParameter("batch must hold at least one row")
     if steps < 1000:
         raise InvalidParameter(f"steps must be >= 1000, got {steps}")
+    for row, (schedule, inst) in enumerate(zip(schedules, insts)):
+        if schedule.n != inst.n:
+            raise InvalidParameter(
+                f"row {row}: schedule built for n={schedule.n}, instance has n={inst.n}")
+        if inst.n > cap:
+            raise OracleSizeExceeded(
+                f"row {row}: n={inst.n} exceeds the dense-propagation cap {cap}")
 
-    n = inst.n
-    m = inst.marked
-    t_i, t_f = schedule.window
-    dt = (t_f - t_i) / steps
+    sizes = np.array([inst.n for inst in insts])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    row_of = np.repeat(np.arange(len(insts)), sizes)
+    marked = starts + [inst.marked for inst in insts]
+    psi = np.repeat(1.0 / np.sqrt(sizes), sizes).astype(complex)
 
-    half_grid = t_i + np.arange(2 * steps + 1) * (0.5 * dt)
-    half_grid[-1] = t_f
-    a_g, b_g, _, _ = schedule.couplings(half_grid)
-    a_g = a_g.tolist()
-    b_g = b_g.tolist()
+    windows = np.array([schedule.window for schedule in schedules])
+    dt = (windows[:, 1] - windows[:, 0]) / steps
+    full_dt = np.repeat(dt, sizes)
+    half_dt = 0.5 * full_dt
+    sixth_dt = full_dt / 6.0
 
-    w = np.full(n, 1.0 / math.sqrt(n))
-    psi = w.astype(complex)
+    def rhs(wa, mb, state):
+        # -i H state per row, with wa = -i a / n and mb = -i b
+        out = (wa * np.add.reduceat(state, starts))[row_of]
+        out[marked] += mb * state[marked]
+        return out
 
-    def rhs(a_val: float, b_val: float, state: np.ndarray) -> np.ndarray:
-        out = (a_val * np.dot(w, state)) * w
-        out[m] += b_val * state[m]
-        return -1j * out
+    a = np.empty((2 * _FULL_BLOCK + 1, len(insts)))
+    b = np.empty_like(a)
+    for first in range(0, steps, _FULL_BLOCK):
+        block = min(_FULL_BLOCK, steps - first)
+        nodes = np.arange(2 * first, 2 * (first + block) + 1)
+        for row, schedule in enumerate(schedules):
+            grid = windows[row, 0] + nodes * (0.5 * dt[row])
+            if first + block == steps:
+                grid[-1] = windows[row, 1]
+            a[:len(nodes), row], b[:len(nodes), row], _, _ = schedule.couplings(grid)
+        wa = -1j * a / sizes
+        mb = -1j * b
+        for j in range(0, 2 * block, 2):
+            k1 = rhs(wa[j], mb[j], psi)
+            k2 = rhs(wa[j + 1], mb[j + 1], psi + half_dt * k1)
+            k3 = rhs(wa[j + 1], mb[j + 1], psi + half_dt * k2)
+            k4 = rhs(wa[j + 2], mb[j + 2], psi + full_dt * k3)
+            psi = psi + sixth_dt * (k1 + 2.0 * (k2 + k3) + k4)
 
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
-    for k in range(steps):
-        j = 2 * k
-        a0, b0 = a_g[j], b_g[j]
-        a1, b1 = a_g[j + 1], b_g[j + 1]
-        a2, b2 = a_g[j + 2], b_g[j + 2]
-        k1 = rhs(a0, b0, psi)
-        k2 = rhs(a1, b1, psi + half_dt * k1)
-        k3 = rhs(a1, b1, psi + half_dt * k2)
-        k4 = rhs(a2, b2, psi + dt * k3)
-        psi = psi + sixth_dt * (k1 + 2.0 * (k2 + k3) + k4)
-
-    norm = float(np.linalg.norm(psi))
-    drift = abs(norm - 1.0)
-    if drift > 1e-7:
-        raise NonUnit(f"norm drifted by {drift:.3e} during full propagation")
-
-    c_m = psi[m]
-    c_u = (psi.sum() - c_m) / math.sqrt(n - 1.0)
-    p_m_final = float(abs(c_m) ** 2)
-    a_f, b_f, _, _ = schedule.couplings(t_f)
-    _, p_minus = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)
-    p_loss = min(1.0, float(p_minus))
-    return _run_summary(schedule, p_m_final, p_loss, drift)
+    results = []
+    for row, (schedule, inst) in enumerate(zip(schedules, insts)):
+        n = inst.n
+        state = psi[starts[row]:starts[row] + n]
+        drift = abs(float(np.linalg.norm(state)) - 1.0)
+        if not drift <= 1e-7:  # a NaN norm fails too
+            raise NonUnit(f"row {row} (n={n}, {schedule.kind.value}): norm drifted "
+                          f"by {drift:.3e} during full propagation")
+        c_m = state[inst.marked]
+        c_u = (state.sum() - c_m) / math.sqrt(n - 1.0)
+        a_f, b_f, _, _ = schedule.couplings(schedule.window[1])
+        _, p_minus = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)
+        results.append(_run_summary(schedule, float(abs(c_m) ** 2),
+                                    min(1.0, float(p_minus)), drift))
+    return results
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

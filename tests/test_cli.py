@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from adiasearch import InvalidParameter, SearchInstance, Strategy
+from adiasearch import InvalidParameter, SearchInstance, Strategy, cli
 from adiasearch.cli import RunConfig, main
 
 from conftest import EPS_REF
@@ -257,6 +257,22 @@ class TestCheckCommand:
         assert report["pass"] is False
         assert report["max_delta"] > 1e-16
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--steps", "500")])
+    def test_rejected_before_propagation(self, tmp_path, capsys, monkeypatch,
+                                         flag, value):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        monkeypatch.setattr(cli, "propagate_full",
+                            lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["check", "--n-list", "4", "--full-steps", "2000", flag, value,
+             "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert flag in err
+        assert runs == []
+        assert not (tmp_path / "check.json").exists()
+
     def test_smallest_instance_agrees(self, tmp_path, capsys):
         out = tmp_path / "edge"
         code, _, _ = run_main(
@@ -276,3 +292,15 @@ class TestEnvironmentCap:
              "--output", str(tmp_path)], capsys)
         assert code == 2
         assert "cap" in err or "exceed" in err.lower()
+
+    def test_cap_failure_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        # the n = 4 rows fit under the cap, but the whole batch is refused
+        # before any reduced or full propagation starts
+        monkeypatch.setenv("ADIA_ORACLE_CAP", "10")
+        reduced_runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: reduced_runs.append(args))
+        code, _, err = run_main(
+            ["check", "--n-list", "4", "16", "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "n=16" in err
+        assert reduced_runs == []

@@ -41,8 +41,10 @@ class FrozenSchedule:
         self.window = (0.0, t_total)
         self.t_char = t_total
         self.epsilon = None
+        self.calls = 0
 
     def couplings(self, t):
+        self.calls += 1
         t = np.asarray(t, dtype=float)
         ones = np.ones_like(t)
         return self._a * ones, self._b * ones, 0.0 * ones, 0.0 * ones
@@ -62,7 +64,7 @@ class TestStationaryEvolution:
     def test_full_static_oracle_off(self):
         # with b = 0 the walk generator never favors the mark
         inst = SearchInstance(16, marked=3)
-        result = propagate_full(FrozenSchedule(1.0, 0.0, 16), inst, steps=4000)
+        [result] = propagate_full([FrozenSchedule(1.0, 0.0, 16)], [inst], steps=4000)
         assert result.p_m_final == pytest.approx(1 / 16, abs=1e-9)
 
 
@@ -174,32 +176,88 @@ class TestFullVersusReduced:
         inst = SearchInstance(4, marked=2)
         sched = local_schedule(1.0, 0.2, inst)
         _, reduced = propagate(sched, inst, steps=60_000)
-        full = propagate_full(sched, inst, steps=30_000)
+        [full] = propagate_full([sched], [inst], steps=30_000)
         assert abs(full.p_m_final - reduced.p_m_final) < 1e-8
 
     def test_parallel_band_from_full(self, inst20):
         sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
-        result = propagate_full(sched, inst20, steps=50_000)
+        [result] = propagate_full([sched], [inst20], steps=50_000)
         assert abs(result.p_m_final - 0.995) < 1e-3
 
     def test_marked_item_does_not_matter_full(self):
-        finals = []
-        for m in (0, 11):
-            inst = SearchInstance(12, marked=m)
-            sched = local_schedule(1.0, 0.25, inst)
-            finals.append(propagate_full(sched, inst, steps=20_000).p_m_final)
+        insts = [SearchInstance(12, marked=m) for m in (0, 11)]
+        scheds = [local_schedule(1.0, 0.25, inst) for inst in insts]
+        finals = [r.p_m_final for r in propagate_full(scheds, insts, steps=20_000)]
         assert abs(finals[0] - finals[1]) <= 1e-10
 
     def test_size_cap(self):
         inst = SearchInstance(DEFAULT_ORACLE_CAP + 1)
         sched = local_schedule(1.0, 0.3, inst)
         with pytest.raises(OracleSizeExceeded):
-            propagate_full(sched, inst, steps=2000)
+            propagate_full([sched], [inst], steps=2000)
         # explicit cap overrides the default
         small = SearchInstance(8)
         with pytest.raises(OracleSizeExceeded):
-            propagate_full(local_schedule(1.0, 0.3, small), small,
+            propagate_full([local_schedule(1.0, 0.3, small)], [small],
                            steps=2000, cap=4)
+
+
+def _mixed_batch():
+    """Linear, local and parallel rows at n = 4, 20, 128 with their own windows."""
+    scheds, insts = [], []
+    for n, marked in ((4, 3), (20, 7), (128, 100)):
+        inst = SearchInstance(n, marked)
+        scheds += [linear_schedule(1.0, 40.0 + n / 4, inst),
+                   local_schedule(1.0, 0.2, inst),
+                   parallel_schedule(1.0, 0.6 * math.sqrt(n), inst, r=8.0)]
+        insts += [inst] * 3
+    return scheds, insts
+
+
+class TestBatchOracle:
+    STEPS = 2000
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        scheds, insts = _mixed_batch()
+        return [propagate_full([s], [i], steps=self.STEPS)[0] for s, i in zip(scheds, insts)]
+
+    def test_rows_match_batches_of_one(self, alone):
+        scheds, insts = _mixed_batch()
+        batch = propagate_full(scheds, insts, steps=self.STEPS)
+        assert len(batch) == len(alone) == 9
+        for together, single in zip(batch, alone):
+            assert abs(together.p_m_final - single.p_m_final) <= 1e-14
+            assert abs(together.p_loss - single.p_loss) <= 1e-14
+
+    def test_row_order_does_not_matter(self, alone):
+        scheds, insts = _mixed_batch()
+        backwards = propagate_full(scheds[::-1], insts[::-1], steps=self.STEPS)[::-1]
+        for reversed_row, single in zip(backwards, alone):
+            assert abs(reversed_row.p_m_final - single.p_m_final) <= 1e-14
+            assert abs(reversed_row.p_loss - single.p_loss) <= 1e-14
+
+    def test_drifting_row_is_named(self):
+        scheds = [FrozenSchedule(1.0, 0.0, 16),
+                  FrozenSchedule(1.0, 0.0, 16, t_total=1000.0)]
+        insts = [SearchInstance(16, marked=2), SearchInstance(16)]
+        with pytest.raises(NonUnit, match=r"row 1 \(n=16, linear\)"):
+            propagate_full(scheds, insts, steps=1000)
+
+    @pytest.mark.parametrize("case", ["cap", "size", "empty", "lengths"])
+    def test_guards_run_before_stepping(self, case):
+        good = FrozenSchedule(1.0, 0.0, 4)
+        scheds, insts, error = {
+            "cap": ([good, FrozenSchedule(1.0, 0.0, 16)],
+                    [SearchInstance(4), SearchInstance(16)], OracleSizeExceeded),
+            "size": ([good, FrozenSchedule(1.0, 0.0, 8)],
+                     [SearchInstance(4), SearchInstance(9)], InvalidParameter),
+            "empty": ([], [], InvalidParameter),
+            "lengths": ([good, good], [SearchInstance(4)], InvalidParameter),
+        }[case]
+        with pytest.raises(error):
+            propagate_full(scheds, insts, steps=1000, cap=10)
+        assert good.calls == 0
 
 
 class TestLocalAnalyticState:
@@ -250,8 +308,8 @@ class TestValidation:
     def test_full_norm_drift_rejected(self):
         # RK4 at |H| dt = 1 loses norm on every step, far beyond 1e-7
         with pytest.raises(NonUnit):
-            propagate_full(FrozenSchedule(1.0, 0.0, 16, t_total=1000.0),
-                           SearchInstance(16), steps=1000)
+            propagate_full([FrozenSchedule(1.0, 0.0, 16, t_total=1000.0)],
+                           [SearchInstance(16)], steps=1000)
 
 
 class TestTrajectoryCsv:
