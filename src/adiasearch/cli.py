@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +247,9 @@ def cmd_sweep(variable: str, values: list[float], template: RunConfig,
         values = sorted(set(_default_n_values()))
     if not values:
         raise InvalidParameter("--values must be non-empty")
+    bad = [x for x in values if not math.isfinite(x)]
+    if bad:
+        raise InvalidParameter(f"--values must be finite, got {bad[0]!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidParameter("--values must be strictly increasing")
     if jobs < 1:
@@ -256,6 +259,8 @@ def cmd_sweep(variable: str, values: list[float], template: RunConfig,
     if jobs == 1:
         rows = [_sweep_row(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~13 ms, only --jobs > 1
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks, chunksize=1))
 
@@ -431,9 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process (~1 ms), not once per in-process command
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(_config_from_args(args))

@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import erf
 
 from .errors import ExactDegenerateN, InvalidParameter
 from .model import SearchInstance
@@ -119,6 +117,9 @@ class Schedule:
             f = np.tanh(x)
             f_dot = (1.0 - f * f) / self.t_char
         else:
+            # deferred: ~0.27 s of import that only the erf profile needs
+            from scipy.special import erf
+
             f = erf(x)
             f_dot = (2.0 / math.sqrt(math.pi)) * np.exp(-x * x) / self.t_char
         root = np.sqrt(1.0 - k * f * f)
@@ -222,13 +223,18 @@ def parallel_schedule(
                     (-half, half), r=float(r), shape=shape)
 
 
+_ZOOM_GRID = np.linspace(0.0, 1.0, 65)
+
+
 def extremum(fn, window: tuple[float, float], samples: int, sign: float) -> float:
     """Minimum (sign = 1) or maximum (sign = -1) of fn over the window.
 
-    `fn` maps times (scalar or array) to values.  The extremum is located
-    by sampling `samples` uniform points and, when it falls inside, by a
-    bounded refinement between the neighbouring samples to 1e-10 of the
-    window length.
+    `fn` maps an array of times to values.  The extremum is located by
+    sampling `samples` uniform points and, when it falls inside, by
+    zooming in: the bracket between the best sample's neighbours is
+    re-sampled at 65 uniform points, and again around the new best one,
+    until it is at most 1e-10 of the window length (about five rounds).
+    The result is the best value seen.
     """
     t_i, t_f = window
     ts = np.linspace(t_i, t_f, samples)
@@ -236,13 +242,16 @@ def extremum(fn, window: tuple[float, float], samples: int, sign: float) -> floa
     i = int(np.argmin(values))
     best = float(values[i])
     if 0 < i < len(ts) - 1:
-        res = minimize_scalar(
-            lambda t: sign * float(fn(t)),
-            bounds=(float(ts[i - 1]), float(ts[i + 1])),
-            method="bounded",
-            options={"xatol": 1e-10 * (t_f - t_i)},
-        )
-        best = min(best, float(res.fun))
+        lo, hi = ts[i - 1], ts[i + 1]
+        # each round narrows the bracket 32-fold; a fixed count always ends
+        rounds = math.ceil(math.log((hi - lo) / (1e-10 * (t_f - t_i)), 32))
+        for _ in range(rounds):
+            ts = lo + (hi - lo) * _ZOOM_GRID
+            values = sign * fn(ts)
+            i = int(np.argmin(values))
+            best = min(best, float(values[i]))
+            i = min(max(i, 1), len(ts) - 2)
+            lo, hi = ts[i - 1], ts[i + 1]
     return sign * best
 
 

@@ -164,6 +164,24 @@ class TestSweepCommand:
              "--output", str(tmp_path / "s")], capsys)
         assert code == 2 and "increasing" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("variable, good, template", [
+        ("n", "10", ["--strategy", "local", "--epsilon", "0.1"]),
+        ("epsilon", "0.1", ["--strategy", "local", "--n", "20"]),
+        ("inv_gamma", "1", ["--strategy", "parallel", "--n", "20", "--r", "12"]),
+    ])
+    def test_values_must_be_finite(self, tmp_path, capsys, monkeypatch,
+                                   variable, good, template, bad):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["sweep", "--variable", variable, "--values", good, bad, *template,
+             "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "finite" in err
+        assert runs == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_inv_gamma_requires_parallel(self, tmp_path, capsys):
         code, _, _ = run_main(
             ["sweep", "--strategy", "local", "--variable", "inv_gamma",

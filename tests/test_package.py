@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import adiasearch
 
 
@@ -7,3 +12,54 @@ def test_public_names_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(adiasearch, name), name
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(adiasearch.__file__)))
+
+# Fresh interpreter: import the CLI, run the benchmark's warm-up command,
+# list the scipy modules loaded by then, then run an erf-ramp command.
+START_UP = """
+import contextlib, io, json, sys, tempfile
+import adiasearch.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    warm = cli.main(["run", "--strategy", "local", "--n", "4", "--epsilon", "0.5",
+                     "--steps", "1000", "--output", out])
+    loaded = scipy_modules()
+    erf = cli.main(["run", "--strategy", "parallel", "--n", "20", "--T", "3.1",
+                    "--shape", "erf", "--steps", "1000", "--output", out])
+    with open(out + "/result.json") as fh:
+        p_loss = json.load(fh)["p_loss"]
+print(json.dumps({"warm": warm, "loaded": loaded, "erf": erf, "p_loss": p_loss,
+                  "after": scipy_modules()}))
+"""
+
+
+def _python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_start_up_path_loads_no_scipy(tmp_path):
+    proc = _python(["-c", START_UP], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["warm"] == 0
+    assert report["loaded"] == []
+    # the erf ramp imports scipy.special on first use and still runs
+    assert report["erf"] == 0
+    assert 0.0 <= report["p_loss"] < 1.0
+    assert "scipy.special" in report["after"]
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    proc = _python(["-m", "adiasearch", "run", "--strategy", "local", "--n", "4",
+                    "--epsilon", "0.5", "--steps", "1000", "--output", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "result.json").exists()

@@ -7,6 +7,7 @@ from adiasearch import (
     ExactDegenerateN,
     InvalidParameter,
     Schedule,
+    SearchInstance,
     Shape,
     Strategy,
     cost,
@@ -20,6 +21,7 @@ from adiasearch import (
     parallel_schedule,
 )
 from adiasearch.model import coupling_rate
+from adiasearch.schedules import extremum
 
 from conftest import EPS_REF
 
@@ -231,12 +233,18 @@ class TestCost:
         assert abs(report.cost - 98.4) < 0.1
 
     def test_parallel_peak_scales(self):
-        from adiasearch import SearchInstance
-
         for n in (10, 100, 1000):
             report = cost(parallel_schedule(2.0, 1.0, SearchInstance(n), r=30.0))
             assert report.a_peak == pytest.approx(2 * math.sqrt(n / (n - 1)), rel=1e-10)
 
+
+    @pytest.mark.parametrize("n", [4, 20, 1000, 10**6])
+    def test_extremum_refines_parallel_peak(self, n):
+        # the interior maximum of a(t) sits between samples; the zoom must
+        # close in on beta*sqrt(n/(n-1)) to rounding
+        sched = parallel_schedule(1.3, 2.0, SearchInstance(n), r=8.0)
+        peak = extremum(lambda t: sched.couplings(t)[0], sched.window, 4097, -1.0)
+        assert peak == pytest.approx(1.3 * math.sqrt(n / (n - 1)), rel=1e-15, abs=0.0)
 
 class TestEqualCostBookkeeping:
     def test_gamma_values(self):
