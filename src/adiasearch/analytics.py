@@ -71,18 +71,25 @@ def local_loss_exact(epsilon: float, n: float) -> float:
     return epsilon * epsilon / kappa2 * math.sin(phase) ** 2
 
 
+def local_analytic_state(tau: float, epsilon: float) -> float:
+    """Exact adiabatic-frame loss of the local strategy at rescaled time tau.
+
+    tau is the accumulated half-gap phase, tau(t) = int_{t_i}^t gap/2 dt'.
+    Returns p_minus(tau) = eps^2/(1+eps^2) * sin^2(sqrt(1+eps^2) tau),
+    which hits the exact final loss at tau(t_f) = arctan(sqrt(n-1))/eps.
+    """
+    if not epsilon > 0:
+        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
+    kappa_sq = 1.0 + epsilon * epsilon
+    s = math.sin(math.sqrt(kappa_sq) * tau)
+    return (epsilon * epsilon / kappa_sq) * (s * s)
+
+
 def local_loss_asymptotic(epsilon: float) -> float:
     """Large-n, small-eps form eps^2 * sin^2(pi/(2 eps))."""
     if not epsilon > 0:
         raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
     return epsilon * epsilon * math.sin(0.5 * math.pi / epsilon) ** 2
-
-
-def local_loss_envelope(epsilon: float) -> float:
-    """Upper envelope eps^2 of the asymptotic local loss."""
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    return epsilon * epsilon
 
 
 def parallel_loss_asymptotic(beta: float, t_par: float, n: float) -> float:
@@ -98,15 +105,6 @@ def parallel_loss_gamma(gamma: float) -> tuple[float, float]:
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
     x = math.pi / gamma
     return _sech2(x), 4.0 * math.exp(-2.0 * x)
-
-
-def linear_cost_bound(epsilon: float, n: int) -> float:
-    """Adiabaticity budget of the linear strategy: alpha*T must exceed 2n/eps."""
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    if n < 2:
-        raise InvalidParameter(f"database size must be >= 2, got n={n}")
-    return 2.0 * n / epsilon
 
 
 def resonant_epsilon(epsilon: float, tol: float = 1e-9) -> bool:

@@ -29,7 +29,13 @@ import numpy as np
 from . import analytics, schedules
 from .errors import AdiabaticSearchError, InvalidParameter
 from .model import DEFAULT_ORACLE_CAP, SearchInstance
-from .propagate import DEFAULT_STEPS, propagate, propagate_full, write_trajectory_csv
+from .propagate import (
+    DEFAULT_STEPS,
+    MIN_STEPS,
+    propagate,
+    propagate_full,
+    write_trajectory_csv,
+)
 from .schedules import Schedule, Shape, Strategy
 
 _STRATEGIES = tuple(s.value for s in Strategy)
@@ -42,6 +48,8 @@ class RunConfig:
 
     Fields that do not apply to the chosen strategy must stay None; the
     build step rejects contradictions instead of silently ignoring them.
+    An unset coupling scale or window factor takes its default only where
+    it is read, in `scale` and `window_r`.
     """
 
     strategy: str
@@ -75,25 +83,31 @@ class RunConfig:
                 raise InvalidParameter(
                     f"shape must be one of {_SHAPES}, got {self.shape!r}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    @property
+    def scale(self) -> float:
+        """The coupling scale: beta for parallel, alpha otherwise; 1 if unset.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InvalidParameter(f"unknown config keys: {sorted(unknown)}")
-        if "strategy" not in data:
-            raise InvalidParameter("config requires a strategy")
-        return cls(**data)
+        Raises InvalidParameter unless it is positive and finite, before a
+        sweep divides by it.
+        """
+        name = "beta" if self.strategy == Strategy.PARALLEL else "alpha"
+        value = getattr(self, name)
+        value = 1.0 if value is None else value
+        schedules._require_positive(**{name: value})
+        return value
+
+    @property
+    def window_r(self) -> float:
+        """The parallel window length in units of T (default 8)."""
+        return 8.0 if self.r is None else self.r
 
     def build(self) -> tuple[SearchInstance, Schedule]:
         """Validate the config against its strategy and build the schedule."""
         if self.n < 2:
             raise InvalidParameter(f"--n must be at least 2, got {self.n}")
-        if self.steps < 1000:
-            raise InvalidParameter(f"--steps must be at least 1000, got {self.steps}")
+        if self.steps < MIN_STEPS:
+            raise InvalidParameter(
+                f"--steps must be at least {MIN_STEPS}, got {self.steps}")
         inst = SearchInstance(self.n, self.marked)
         self._reject("beta", self.strategy != Strategy.PARALLEL)
         self._reject("alpha", self.strategy == Strategy.PARALLEL)
@@ -105,12 +119,12 @@ class RunConfig:
             if self.T is not None:
                 raise InvalidParameter(
                     "--T is derived for the local strategy; do not pass it")
-            schedule = schedules.local_schedule(self.alpha or 1.0, self.epsilon, inst)
+            schedule = schedules.local_schedule(self.scale, self.epsilon, inst)
         elif self.strategy == Strategy.LINEAR:
             if self.T is None:
                 raise InvalidParameter("--T is required for the linear strategy")
             schedule = schedules.linear_schedule(
-                self.alpha or 1.0, self.T, inst, epsilon=self.epsilon)
+                self.scale, self.T, inst, epsilon=self.epsilon)
         else:
             if self.T is None:
                 raise InvalidParameter("--T is required for the parallel strategy")
@@ -119,8 +133,7 @@ class RunConfig:
                     "--epsilon does not apply to a parallel run; pick --T directly")
             shape = Shape(self.shape) if self.shape is not None else Shape.TANH
             schedule = schedules.parallel_schedule(
-                self.beta or 1.0, self.T, inst, r=self.r if self.r is not None else 8.0,
-                shape=shape)
+                self.scale, self.T, inst, r=self.window_r, shape=shape)
         return inst, schedule
 
     def _reject(self, field: str, condition: bool) -> None:
@@ -193,8 +206,8 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
         if template.epsilon is not None:
             raise InvalidParameter(
                 "--epsilon does not apply to an inv_gamma sweep; the value fixes T")
-        beta = template.beta or 1.0
-        return dataclasses.replace(template, T=float(x) * math.sqrt(template.n) / beta)
+        return dataclasses.replace(
+            template, T=float(x) * math.sqrt(template.n) / template.scale)
     n_point = int(round(x))
     if abs(n_point - x) > 1e-9:
         raise InvalidParameter(f"an n sweep needs integer values, got {x!r}")
@@ -204,10 +217,8 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
             raise InvalidParameter(
                 "an n sweep over the parallel strategy needs --epsilon "
                 "(sets T via gamma = epsilon*r/2) or an explicit --T")
-        beta = template.beta or 1.0
-        r = template.r if template.r is not None else 8.0
-        gamma = schedules.equal_cost_gamma(template.epsilon, r)
-        t_par = math.sqrt(n_point) / (beta * gamma)
+        gamma = schedules.equal_cost_gamma(template.epsilon, template.window_r)
+        t_par = math.sqrt(n_point) / (template.scale * gamma)
         return dataclasses.replace(template, n=n_point, T=t_par, epsilon=None)
     return dataclasses.replace(template, n=n_point)
 
@@ -338,8 +349,8 @@ def cmd_check(n_list: list[int], seed: int = 0, steps: int = DEFAULT_STEPS,
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameter(
             f"--tolerance must be finite and positive, got {tolerance!r}")
-    if steps < 1000:
-        raise InvalidParameter(f"--steps must be at least 1000, got {steps}")
+    if steps < MIN_STEPS:
+        raise InvalidParameter(f"--steps must be at least {MIN_STEPS}, got {steps}")
     cap = _oracle_cap()
     rng = np.random.default_rng(seed)
     insts, batch = [], []

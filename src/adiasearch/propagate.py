@@ -46,6 +46,8 @@ from .model import DEFAULT_ORACLE_CAP, SearchInstance
 from .schedules import Schedule
 
 DEFAULT_STEPS = 16_000
+# fewest steps any propagation or command accepts
+MIN_STEPS = 1000
 
 # Gauss-Legendre points of a step sit at its midpoint -/+ sqrt(3)/6 of its
 # length; the Magnus-4 commutator term is sqrt(3)/12 h^2 [A_2, A_1], and
@@ -97,20 +99,6 @@ class RunResult:
     analytic_loss: float | None
     norm_drift: float
     error_estimate: float | None = None
-
-
-def local_analytic_state(tau: float, epsilon: float) -> float:
-    """Exact adiabatic-frame loss of the local strategy at rescaled time tau.
-
-    tau is the accumulated half-gap phase, tau(t) = int_{t_i}^t gap/2 dt'.
-    Returns p_minus(tau) = eps^2/(1+eps^2) * sin^2(sqrt(1+eps^2) tau),
-    which hits the exact final loss at tau(t_f) = arctan(sqrt(n-1))/eps.
-    """
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    kappa_sq = 1.0 + epsilon * epsilon
-    s = math.sin(math.sqrt(kappa_sq) * tau)
-    return (epsilon * epsilon / kappa_sq) * (s * s)
 
 
 def _run_summary(schedule: Schedule, p_m_final: float, p_loss: float,
@@ -211,32 +199,26 @@ def propagate(
     schedule: Schedule,
     inst: SearchInstance,
     steps: int = DEFAULT_STEPS,
-    stride: int | None = None,
 ) -> tuple[Trajectory, RunResult]:
     """Evolve |w> through the schedule window; return (Trajectory, RunResult).
 
-    `steps` Magnus-4 steps (at least 1000) on the phase grid; the
-    trajectory is sampled every `stride` steps (default about 2000
+    `steps` Magnus-4 steps (at least `MIN_STEPS`) on the phase grid; the
+    trajectory is sampled every max(1, steps // 2000) steps (about 2000
     samples) and always includes both endpoints.
     """
     if schedule.n != inst.n:
         raise InvalidParameter(f"schedule built for n={schedule.n}, instance has n={inst.n}")
-    if steps < 1000:
-        raise InvalidParameter(f"steps must be >= 1000, got {steps}")
-    if stride is None:
-        stride = max(1, steps // 2000)
-    stride = int(stride)
-    if stride < 1:
-        raise InvalidParameter(f"stride must be >= 1, got {stride}")
-    stride = min(stride, steps)
+    if steps < MIN_STEPS:
+        raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
+    every = max(1, steps // 2000)
 
     n = inst.n
     nodes = _phase_grid(schedule, n, steps)
     alpha, beta = _magnus_steps(schedule, n, nodes)
-    chunks = -(-steps // stride)
-    pad = chunks * stride - steps
-    alpha = np.concatenate((alpha, np.ones(pad))).reshape(chunks, stride)
-    beta = np.concatenate((beta, np.zeros(pad))).reshape(chunks, stride)
+    chunks = -(-steps // every)
+    pad = chunks * every - steps
+    alpha = np.concatenate((alpha, np.ones(pad))).reshape(chunks, every)
+    beta = np.concatenate((beta, np.zeros(pad))).reshape(chunks, every)
     chunk_alpha, chunk_beta = _compose(alpha, beta)
 
     c_u0 = complex(math.sqrt((n - 1.0) / n))
@@ -248,7 +230,7 @@ def propagate(
         amp_u.append(c_u)
         amp_m.append(c_m)
 
-    ts = nodes[np.r_[0:steps:stride, steps]]
+    ts = nodes[np.r_[0:steps:every, steps]]
     amp_u = np.asarray(amp_u)
     amp_m = np.asarray(amp_m)
     a, b, a_dot, b_dot = schedule.couplings(ts)
@@ -300,7 +282,7 @@ def propagate_full(
     where <w|psi> |w> puts the slice's sum divided by n on every entry.
 
     Every guard is checked before any stepping: a batch that is empty or
-    whose lists differ in length, `steps` below 1000, and, per row, a
+    whose lists differ in length, `steps` below `MIN_STEPS`, and, per row, a
     schedule built for another n (InvalidParameter) or n above `cap`
     (OracleSizeExceeded).  After stepping, NonUnit names the first row
     whose own norm the (non-symplectic) integrator drifted beyond 1e-7.
@@ -310,8 +292,8 @@ def propagate_full(
             f"batch has {len(schedules)} schedules but {len(insts)} instances")
     if not schedules:
         raise InvalidParameter("batch must hold at least one row")
-    if steps < 1000:
-        raise InvalidParameter(f"steps must be >= 1000, got {steps}")
+    if steps < MIN_STEPS:
+        raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
     for row, (schedule, inst) in enumerate(zip(schedules, insts)):
         if schedule.n != inst.n:
             raise InvalidParameter(

@@ -130,55 +130,6 @@ class Schedule:
         b_dot = beta * (root_dot + f_dot / sqrt_n)
         return a, b, a_dot, b_dot
 
-    def to_config(self) -> dict:
-        """JSON-ready description; inverse of `Schedule.from_config`."""
-        key = "beta" if self.kind is Strategy.PARALLEL else "alpha"
-        cfg = {"strategy": self.kind.value, "n": self.n, key: self.alpha_or_beta,
-               "T": self.t_char}
-        if self.epsilon is not None:
-            cfg["epsilon"] = self.epsilon
-        if self.kind is Strategy.PARALLEL:
-            cfg["r"] = self.r
-            cfg["shape"] = self.shape.value
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Schedule":
-        cfg = dict(cfg)
-        try:
-            kind = Strategy(cfg.pop("strategy"))
-            n = int(cfg.pop("n"))
-        except (KeyError, ValueError) as exc:
-            raise InvalidParameter(f"bad schedule config: {exc}") from exc
-        inst = SearchInstance(n)
-        if kind is Strategy.LINEAR:
-            t_given = cfg.pop("T", None)
-            if t_given is None:
-                raise InvalidParameter("linear schedule config requires T")
-            sched = linear_schedule(cfg.pop("alpha", 1.0), t_given, inst,
-                                    epsilon=cfg.pop("epsilon", None))
-        elif kind is Strategy.LOCAL:
-            alpha = cfg.pop("alpha", 1.0)
-            epsilon = cfg.pop("epsilon", None)
-            if epsilon is None:
-                raise InvalidParameter("local schedule config requires epsilon")
-            sched = local_schedule(alpha, epsilon, inst)
-            t_given = cfg.pop("T", None)
-            if t_given is not None and not math.isclose(t_given, sched.t_char, rel_tol=1e-9):
-                raise InvalidParameter(
-                    f"local duration T={t_given} inconsistent with epsilon={epsilon}"
-                )
-        else:
-            t_given = cfg.pop("T", None)
-            if t_given is None:
-                raise InvalidParameter("parallel schedule config requires T")
-            sched = parallel_schedule(cfg.pop("beta", 1.0), t_given, inst,
-                                      r=cfg.pop("r", 8.0),
-                                      shape=cfg.pop("shape", "tanh"))
-        if cfg:
-            raise InvalidParameter(f"unknown schedule config keys: {sorted(cfg)}")
-        return sched
-
 
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():

@@ -1,6 +1,6 @@
 import pytest
 
-from adiasearch import SearchInstance
+from adiasearch.model import SearchInstance
 
 EPS_REF = 1 / 11
 

@@ -14,21 +14,19 @@ import time
 import numpy as np
 import pytest
 
-from adiasearch import (
-    SearchInstance,
+from adiasearch.analytics import local_loss_exact, parallel_loss_gamma
+from adiasearch.cli import main
+from adiasearch.model import SearchInstance
+from adiasearch.propagate import DEFAULT_STEPS, propagate
+from adiasearch.schedules import (
     Strategy,
     cost,
     equal_cost_gamma,
     equal_cost_parallel_time,
-    local_loss_exact,
     local_schedule,
-    parallel_loss_gamma,
     parallel_peak_reference,
     parallel_schedule,
-    propagate,
 )
-from adiasearch.cli import main
-from adiasearch.propagate import DEFAULT_STEPS
 
 from conftest import EPS_REF
 

@@ -3,23 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch import (
-    InvalidParameter,
-    SearchInstance,
+from adiasearch.analytics import (
     adiabaticity_check,
-    linear_cost_bound,
-    linear_schedule,
     local_loss_asymptotic,
-    local_loss_envelope,
     local_loss_exact,
-    local_schedule,
     loss_prediction,
     parallel_loss_asymptotic,
     parallel_loss_gamma,
-    parallel_schedule,
-    propagate,
     resonant_epsilon,
 )
+from adiasearch.errors import InvalidParameter
+from adiasearch.model import SearchInstance
+from adiasearch.propagate import propagate
+from adiasearch.schedules import linear_schedule, local_schedule, parallel_schedule
 
 from conftest import EPS_REF
 
@@ -65,10 +61,6 @@ class TestLocalLossAsymptotic:
         assert local_loss_asymptotic(0.5) < 1e-30
         assert local_loss_asymptotic(0.25) < 1e-30
 
-    def test_envelope(self):
-        assert local_loss_envelope(0.1) == pytest.approx(0.01, rel=1e-15)
-        assert local_loss_asymptotic(0.1) <= local_loss_envelope(0.1) + 1e-30
-
 
 class TestParallelLoss:
     def test_asymptotic_from_schedule_params(self):
@@ -101,20 +93,6 @@ class TestParallelLoss:
             parallel_loss_gamma(0.0)
         with pytest.raises(InvalidParameter):
             parallel_loss_asymptotic(1.0, -2.0, 20)
-
-
-class TestLinearCostBound:
-    def test_reference_value(self):
-        assert linear_cost_bound(EPS_REF, 20) == pytest.approx(440.0, rel=1e-12)
-
-    def test_small_n(self):
-        assert linear_cost_bound(0.5, 2) == pytest.approx(8.0, rel=1e-12)
-
-    def test_overhead_versus_local(self):
-        # global bound costs n/sqrt(n-1) more than the locally adapted run
-        for n in (10, 100, 1000):
-            ratio = linear_cost_bound(0.1, n) / (2 * math.sqrt(n - 1) / 0.1)
-            assert ratio == pytest.approx(n / math.sqrt(n - 1), rel=1e-12)
 
 
 class TestResonantEpsilon:

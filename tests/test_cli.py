@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from adiasearch import InvalidParameter, SearchInstance, Strategy, cli
+from adiasearch import cli
 from adiasearch.cli import RunConfig, main
+from adiasearch.errors import InvalidParameter
+from adiasearch.model import SearchInstance
+from adiasearch.schedules import Strategy
 
 from conftest import EPS_REF
 
@@ -18,16 +21,6 @@ def run_main(argv, capsys):
 
 
 class TestRunConfig:
-    def test_dict_round_trip(self):
-        cfg = RunConfig(strategy="parallel", n=20, beta=1.0, T=4.7,
-                        r=8.0, shape="tanh", steps=5000)
-        rebuilt = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert rebuilt == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidParameter):
-            RunConfig.from_dict({"strategy": "local", "n": 8, "oracle": 3})
-
     def test_bad_strategy_rejected(self):
         with pytest.raises(InvalidParameter):
             RunConfig(strategy="diabatic", n=8)
@@ -48,6 +41,9 @@ class TestRunConfig:
         dict(strategy="linear", n=20),
         dict(strategy="linear", n=1, T=5.0),
         dict(strategy="linear", n=20, T=5.0, steps=10),
+        dict(strategy="linear", n=20, T=5.0, alpha=0.0),
+        dict(strategy="local", n=20, epsilon=0.1, alpha=0.0),
+        dict(strategy="parallel", n=20, T=1.0, beta=0.0),
     ])
     def test_build_rejections(self, kwargs):
         with pytest.raises(InvalidParameter):
@@ -104,6 +100,22 @@ class TestRunCommand:
              "--output", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["run", "--strategy", "linear", "--n", "20", "--T", "440",
+          "--alpha", "0"], "alpha"),
+        (["run", "--strategy", "parallel", "--n", "20", "--T", "4.7",
+          "--beta", "0"], "beta"),
+        (["sweep", "--strategy", "parallel", "--variable", "inv_gamma",
+          "--values", "1", "2", "--n", "20", "--beta", "0"], "beta"),
+    ])
+    def test_zero_scale_exits_2(self, tmp_path, capsys, argv, name):
+        # zero is an input like any other, not a request for the default 1
+        out = tmp_path / "out"
+        code, _, err = run_main(argv + ["--output", str(out)], capsys)
+        assert code == 2
+        assert err == f"error: {name} must be a positive finite number, got 0.0\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:

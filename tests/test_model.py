@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch import (
-    InvalidParameter,
-    OracleSizeExceeded,
+from adiasearch.errors import InvalidParameter, OracleSizeExceeded
+from adiasearch.model import (
     SearchInstance,
+    adiabatic_populations,
     coupling_rate,
     eigenvalues,
     energy_gap,
@@ -14,7 +14,6 @@ from adiasearch import (
     mixing_angle,
     reduced_terms,
 )
-from adiasearch.model import adiabatic_populations
 
 
 class TestSearchInstance:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -63,3 +64,24 @@ def test_python_dash_m_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert (tmp_path / "out" / "result.json").exists()
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_readme_library_example_runs(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    # the example may import only documented names, from the package top level
+    imports = [node for node in ast.walk(ast.parse(example))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "adiasearch"]
+    assert imports
+    for node in imports:
+        assert node.module == "adiasearch"
+        for alias in node.names:
+            assert alias.name in adiasearch.__all__, alias.name
+    proc = _python(["-c", example], tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -3,27 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch import (
-    DEFAULT_ORACLE_CAP,
+from adiasearch.analytics import (
+    local_analytic_state,
+    local_loss_exact,
+    parallel_loss_gamma,
+)
+from adiasearch.errors import (
     DegeneratePoint,
     InvalidParameter,
     NonUnit,
     OracleSizeExceeded,
-    SearchInstance,
-    Strategy,
+)
+from adiasearch.model import DEFAULT_ORACLE_CAP, SearchInstance
+from adiasearch.propagate import (
+    DEFAULT_STEPS,
     TRAJECTORY_COLUMNS,
-    linear_schedule,
-    local_analytic_state,
-    local_loss_exact,
-    local_schedule,
-    parallel_loss_gamma,
-    parallel_schedule,
     propagate,
     propagate_full,
     write_trajectory_csv,
 )
-
-from adiasearch.propagate import DEFAULT_STEPS
+from adiasearch.schedules import (
+    Strategy,
+    linear_schedule,
+    local_schedule,
+    parallel_schedule,
+)
 
 from conftest import EPS_REF
 
@@ -85,7 +89,7 @@ class TestLocalRun:
         mids = 0.5 * (t0 + t1)
         ts = mids[:, None] + half[:, None] * nodes[None, :]
         a, b, _, _ = sched.couplings(ts.ravel())
-        from adiasearch import energy_gap
+        from adiasearch.model import energy_gap
 
         gap = energy_gap(a, b, 20).reshape(ts.shape)
         seg = half * (gap @ weights)
@@ -285,16 +289,6 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             propagate(local_schedule(1.0, 0.2, inst20), inst20, steps=500)
 
-    def test_stride_floor(self, inst20):
-        with pytest.raises(InvalidParameter):
-            propagate(local_schedule(1.0, 0.2, inst20), inst20,
-                      steps=2000, stride=0)
-
-    def test_stride_above_steps_keeps_endpoints(self, inst20):
-        traj, _ = propagate(local_schedule(1.0, 0.2, inst20), inst20,
-                            steps=2000, stride=10**15)
-        assert len(traj) == 2
-
     def test_size_mismatch(self, inst20):
         sched = local_schedule(1.0, 0.2, inst20)
         with pytest.raises(InvalidParameter):
@@ -315,7 +309,7 @@ class TestValidation:
 class TestTrajectoryCsv:
     def test_format_contract(self, inst20, tmp_path):
         sched = local_schedule(1.0, 0.3, inst20)
-        traj, _ = propagate(sched, inst20, steps=2000, stride=200)
+        traj, _ = propagate(sched, inst20, steps=2000)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text(encoding="ascii").splitlines()

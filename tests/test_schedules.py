@@ -3,25 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch import (
-    ExactDegenerateN,
-    InvalidParameter,
-    Schedule,
-    SearchInstance,
+from adiasearch.errors import ExactDegenerateN, InvalidParameter
+from adiasearch.model import SearchInstance, coupling_rate, energy_gap, mixing_angle
+from adiasearch.schedules import (
     Shape,
-    Strategy,
     cost,
-    energy_gap,
     equal_cost_gamma,
     equal_cost_parallel_time,
+    extremum,
     linear_schedule,
     local_schedule,
-    mixing_angle,
     parallel_peak_reference,
     parallel_schedule,
 )
-from adiasearch.model import coupling_rate
-from adiasearch.schedules import extremum
 
 from conftest import EPS_REF
 
@@ -272,42 +266,3 @@ class TestEqualCostBookkeeping:
     def test_degenerate_n2_refused(self):
         with pytest.raises(ExactDegenerateN):
             equal_cost_parallel_time(0.1, 8.0, 2)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("build", [
-        lambda inst: linear_schedule(1.0, 440.0, inst, epsilon=EPS_REF),
-        lambda inst: local_schedule(1.0, EPS_REF, inst),
-        lambda inst: parallel_schedule(1.0, 4.7, inst, r=8.0, shape=Shape.ERF),
-    ])
-    def test_round_trip(self, inst20, build):
-        sched = build(inst20)
-        assert Schedule.from_config(sched.to_config()) == sched
-
-    def test_config_strategy_key(self, inst20):
-        cfg = parallel_schedule(1.0, 2.0, inst20).to_config()
-        assert cfg["strategy"] == "parallel"
-        assert "beta" in cfg and "alpha" not in cfg
-
-    def test_unknown_key_rejected(self, inst20):
-        cfg = local_schedule(1.0, 0.1, inst20).to_config()
-        cfg["detuning"] = 3
-        with pytest.raises(InvalidParameter):
-            Schedule.from_config(cfg)
-
-    def test_inconsistent_local_duration_rejected(self, inst20):
-        cfg = local_schedule(1.0, 0.1, inst20).to_config()
-        cfg["T"] = cfg["T"] * 1.01
-        with pytest.raises(InvalidParameter):
-            Schedule.from_config(cfg)
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(InvalidParameter):
-            Schedule.from_config({"strategy": "local", "n": 20})
-        with pytest.raises(InvalidParameter):
-            Schedule.from_config({"strategy": "parallel", "n": 20})
-
-    def test_local_duration_consistent_accepted(self, inst20):
-        sched = local_schedule(1.0, 0.1, inst20)
-        assert Schedule.from_config(sched.to_config()) == sched
-        assert sched.to_config()["T"] == sched.t_char
