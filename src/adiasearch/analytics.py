@@ -7,17 +7,16 @@ adiabatic frame: with kappa = sqrt(1 + eps^2) the final loss is
 
 which for large n and small eps tends to eps^2 * sin^2(pi/(2 eps)) with
 upper envelope eps^2.  The sin^2 factor vanishes on a measure-zero family
-(eps = 1/(2p) in the asymptotic form); reports flag such values as
-non-robust rather than advertising a zero.
+(eps = 1/(2p) in the asymptotic form); such a zero does not survive a
+small change of eps.
 
 For the parallel strategy with a tanh ramp the untruncated problem maps
 onto an exactly solvable constant-gap crossing, giving
 
     P_loss ~ sech^2(pi * T_par * beta / sqrt(n)) = sech^2(pi/gamma),
 
-with gamma = sqrt(n)/T_par (beta = 1 units), and the large-argument form
-4*exp(-2*pi/gamma).  Window truncation adds an exponentially small floor
-on top, visible in sweeps at large 1/gamma.
+with gamma = sqrt(n)/T_par (beta = 1 units).  Window truncation adds an
+exponentially small floor on top, visible in sweeps at large 1/gamma.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class LossPrediction:
 
     exact: float | None
     asymptotic: float
-    regime_note: str
 
 
 @dataclass(frozen=True)
@@ -71,20 +69,6 @@ def local_loss_exact(epsilon: float, n: float) -> float:
     return epsilon * epsilon / kappa2 * math.sin(phase) ** 2
 
 
-def local_analytic_state(tau: float, epsilon: float) -> float:
-    """Exact adiabatic-frame loss of the local strategy at rescaled time tau.
-
-    tau is the accumulated half-gap phase, tau(t) = int_{t_i}^t gap/2 dt'.
-    Returns p_minus(tau) = eps^2/(1+eps^2) * sin^2(sqrt(1+eps^2) tau),
-    which hits the exact final loss at tau(t_f) = arctan(sqrt(n-1))/eps.
-    """
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    kappa_sq = 1.0 + epsilon * epsilon
-    s = math.sin(math.sqrt(kappa_sq) * tau)
-    return (epsilon * epsilon / kappa_sq) * (s * s)
-
-
 def local_loss_asymptotic(epsilon: float) -> float:
     """Large-n, small-eps form eps^2 * sin^2(pi/(2 eps))."""
     if not epsilon > 0:
@@ -99,36 +83,12 @@ def parallel_loss_asymptotic(beta: float, t_par: float, n: float) -> float:
     return _sech2(math.pi * t_par * beta / math.sqrt(n))
 
 
-def parallel_loss_gamma(gamma: float) -> tuple[float, float]:
-    """Both asymptotic forms (sech^2(pi/gamma), 4*exp(-2*pi/gamma))."""
-    if not gamma > 0:
-        raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
-    x = math.pi / gamma
-    return _sech2(x), 4.0 * math.exp(-2.0 * x)
-
-
-def resonant_epsilon(epsilon: float, tol: float = 1e-9) -> bool:
-    """True when eps is within tol of the measure-zero family 1/(2p), p = 1, 2, ...
-
-    At such eps the asymptotic local loss vanishes identically; the zero is
-    not robust to detuning, so reports flag it.
-    """
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
-    p = 0.5 / epsilon
-    return p >= 1.0 - tol and abs(p - round(p)) < tol
-
-
 def loss_prediction(schedule: Schedule) -> LossPrediction | None:
     """Analytic references for a schedule; None for the linear strategy."""
     if schedule.kind is Strategy.LOCAL:
-        note = "exact two-level interference form"
-        if resonant_epsilon(schedule.epsilon):
-            note += "; epsilon on the 1/(2p) family: loss zero is non-robust"
         return LossPrediction(
             exact=local_loss_exact(schedule.epsilon, schedule.n),
             asymptotic=local_loss_asymptotic(schedule.epsilon),
-            regime_note=note,
         )
     if schedule.kind is Strategy.PARALLEL:
         return LossPrediction(
@@ -136,22 +96,20 @@ def loss_prediction(schedule: Schedule) -> LossPrediction | None:
             asymptotic=parallel_loss_asymptotic(
                 schedule.alpha_or_beta, schedule.t_char, schedule.n
             ),
-            regime_note="constant-gap asymptote; window truncation adds a floor",
         )
     return None
 
 
 def adiabaticity_check(
-    schedule: Schedule, epsilon: float | None = None, samples: int = 1000
+    schedule: Schedule, epsilon: float | None = None
 ) -> AdiabaticityReport:
     """Check max theta_dot < eps * min gap / 2 over the window.
 
-    Extremes are located by `schedules.extremum` over `samples` points.  The
-    returned ratio is max_theta_dot / (eps * min_gap / 2); the criterion
-    holds when it is below 1.
+    `epsilon` defaults to the local schedule's own.  Extremes are located by
+    `schedules.extremum` over 1000 samples.  The returned ratio is
+    max_theta_dot / (eps * min_gap / 2); the criterion holds when it is
+    below 1.
     """
-    if samples < 1000:
-        raise InvalidParameter(f"samples must be >= 1000, got {samples}")
     if epsilon is None:
         epsilon = schedule.epsilon
     if epsilon is None or not epsilon > 0:
@@ -167,8 +125,8 @@ def adiabaticity_check(
         a, b, _, _ = schedule.couplings(t)
         return model.energy_gap(a, b, n)
 
-    max_rate = extremum(rate, schedule.window, samples, -1.0)
-    min_gap = extremum(gap, schedule.window, samples, 1.0)
+    max_rate = extremum(rate, schedule.window, 1000, -1.0)
+    min_gap = extremum(gap, schedule.window, 1000, 1.0)
     bound = 0.5 * epsilon * min_gap
     ratio = max_rate / bound
     return AdiabaticityReport(

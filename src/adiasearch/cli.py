@@ -28,8 +28,9 @@ import numpy as np
 
 from . import analytics, schedules
 from .errors import AdiabaticSearchError, InvalidParameter
-from .model import DEFAULT_ORACLE_CAP, SearchInstance
+from .model import SearchInstance
 from .propagate import (
+    DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
     MIN_STEPS,
     propagate,
@@ -40,6 +41,8 @@ from .schedules import Schedule, Shape, Strategy
 
 _STRATEGIES = tuple(s.value for s in Strategy)
 _SHAPES = tuple(s.value for s in Shape)
+# largest |delta p_m| between the reduced and the full-space run that passes
+CHECK_TOLERANCE = 1e-7
 
 
 @dataclass
@@ -113,6 +116,7 @@ class RunConfig:
         self._reject("alpha", self.strategy == Strategy.PARALLEL)
         self._reject("r", self.strategy != Strategy.PARALLEL)
         self._reject("shape", self.strategy != Strategy.PARALLEL)
+        self._reject("epsilon", self.strategy == Strategy.LINEAR)
         if self.strategy == Strategy.LOCAL:
             if self.epsilon is None:
                 raise InvalidParameter("--epsilon is required for the local strategy")
@@ -123,8 +127,7 @@ class RunConfig:
         elif self.strategy == Strategy.LINEAR:
             if self.T is None:
                 raise InvalidParameter("--T is required for the linear strategy")
-            schedule = schedules.linear_schedule(
-                self.scale, self.T, inst, epsilon=self.epsilon)
+            schedule = schedules.linear_schedule(self.scale, self.T, inst)
         else:
             if self.T is None:
                 raise InvalidParameter("--T is required for the parallel strategy")
@@ -140,16 +143,6 @@ class RunConfig:
         if condition and getattr(self, field) is not None:
             raise InvalidParameter(
                 f"--{field} does not apply to the {self.strategy} strategy")
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get("ADIA_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidParameter(f"ADIA_ORACLE_CAP must be an integer, got {raw!r}") from exc
 
 
 def _write_json(path: str, payload: dict) -> str:
@@ -342,16 +335,20 @@ def _check_schedules(n: int, inst: SearchInstance) -> list[Schedule]:
 
 
 def cmd_check(n_list: list[int], seed: int = 0, steps: int = DEFAULT_STEPS,
-              full_steps: int = 30_000, tolerance: float = 1e-7,
+              full_steps: int = DEFAULT_FULL_STEPS, tolerance: float = CHECK_TOLERANCE,
               output: str = ".") -> int:
     if not n_list:
         raise InvalidParameter("--n-list must be non-empty")
+    if seed < 0:
+        raise InvalidParameter(f"--seed must be non-negative, got {seed}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameter(
             f"--tolerance must be finite and positive, got {tolerance!r}")
     if steps < MIN_STEPS:
         raise InvalidParameter(f"--steps must be at least {MIN_STEPS}, got {steps}")
-    cap = _oracle_cap()
+    if full_steps < MIN_STEPS:
+        raise InvalidParameter(
+            f"--full-steps must be at least {MIN_STEPS}, got {full_steps}")
     rng = np.random.default_rng(seed)
     insts, batch = [], []
     for n in n_list:
@@ -360,7 +357,7 @@ def cmd_check(n_list: list[int], seed: int = 0, steps: int = DEFAULT_STEPS,
             insts.append(inst)
             batch.append(schedule)
     # one oracle call for every entry; its guards run before any propagation
-    fulls = propagate_full(batch, insts, steps=full_steps, cap=cap)
+    fulls = propagate_full(batch, insts, steps=full_steps)
     entries = []
     for inst, schedule, full in zip(insts, batch, fulls):
         _, reduced = propagate(schedule, inst, steps=steps)
@@ -440,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--seed", type=int, default=0)
     check_p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                          help="reduced-propagation steps")
-    check_p.add_argument("--full-steps", type=int, default=30_000,
+    check_p.add_argument("--full-steps", type=int, default=DEFAULT_FULL_STEPS,
                          help="full-space RK4 steps")
-    check_p.add_argument("--tolerance", type=float, default=1e-7)
+    check_p.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE)
     check_p.add_argument("--output", default=".")
     return parser
 

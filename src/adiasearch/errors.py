@@ -14,7 +14,7 @@ class DegeneratePoint(AdiabaticSearchError):
 
 
 class OracleSizeExceeded(AdiabaticSearchError):
-    """A dense full-space operation was requested above the configured size cap."""
+    """A full-space propagation was requested above the fixed size cap."""
 
 
 class NonUnit(AdiabaticSearchError):

@@ -24,8 +24,7 @@ Units: hbar = 1 throughout, couplings are angular frequencies.
 
 The kernel functions (`reduced_terms`, `eigenvalues`, `energy_gap`,
 `mixing_angle`, `coupling_rate`) and `adiabatic_populations` accept
-scalars or numpy arrays and broadcast.  `full_hamiltonian` builds the
-dense reference matrix for cross-checks.
+scalars or numpy arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OracleSizeExceeded
-
-DEFAULT_ORACLE_CAP = 512
+from .errors import InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -113,18 +110,3 @@ def adiabatic_populations(theta, c_u, c_m):
     """
     c, s = np.cos(theta), np.sin(theta)
     return np.abs(c * c_u + s * c_m) ** 2, np.abs(s * c_u - c * c_m) ** 2
-
-
-def full_hamiltonian(
-    a: float, b: float, inst: SearchInstance, cap: int = DEFAULT_ORACLE_CAP
-) -> np.ndarray:
-    """Dense n x n Hamiltonian a*|w><w| + b*|m><m| (real symmetric).
-
-    Refuses with OracleSizeExceeded when n exceeds `cap`; dense work scales
-    as n^2 and is meant for cross-checks, not production runs.
-    """
-    if inst.n > cap:
-        raise OracleSizeExceeded(f"n={inst.n} exceeds the dense-operation cap {cap}")
-    h = np.full((inst.n, inst.n), a / inst.n, dtype=float)
-    h[inst.marked, inst.marked] += b
-    return h

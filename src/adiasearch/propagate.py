@@ -42,7 +42,7 @@ from .errors import (
     NonUnit,
     OracleSizeExceeded,
 )
-from .model import DEFAULT_ORACLE_CAP, SearchInstance
+from .model import SearchInstance
 from .schedules import Schedule
 
 DEFAULT_STEPS = 16_000
@@ -266,11 +266,17 @@ def propagate(
     return trajectory, result
 
 
+# RK4 steps of `propagate_full`, and `check`'s default (echoed in check.json)
+DEFAULT_FULL_STEPS = 30_000
+# largest n `propagate_full` accepts: its RK4 work grows as n * steps, and
+# the cross-check needs only small n to validate the reduction
+ORACLE_CAP = 512
+
+
 def propagate_full(
     schedules: list[Schedule],
     insts: list[SearchInstance],
-    steps: int = 200_000,
-    cap: int = DEFAULT_ORACLE_CAP,
+    steps: int = DEFAULT_FULL_STEPS,
 ) -> list[RunResult]:
     """Full n-dimensional RK4 cross-check of a batch of rows; one RunResult each.
 
@@ -283,7 +289,7 @@ def propagate_full(
 
     Every guard is checked before any stepping: a batch that is empty or
     whose lists differ in length, `steps` below `MIN_STEPS`, and, per row, a
-    schedule built for another n (InvalidParameter) or n above `cap`
+    schedule built for another n (InvalidParameter) or n above `ORACLE_CAP`
     (OracleSizeExceeded).  After stepping, NonUnit names the first row
     whose own norm the (non-symplectic) integrator drifted beyond 1e-7.
     """
@@ -298,9 +304,9 @@ def propagate_full(
         if schedule.n != inst.n:
             raise InvalidParameter(
                 f"row {row}: schedule built for n={schedule.n}, instance has n={inst.n}")
-        if inst.n > cap:
+        if inst.n > ORACLE_CAP:
             raise OracleSizeExceeded(
-                f"row {row}: n={inst.n} exceeds the dense-propagation cap {cap}")
+                f"row {row}: n={inst.n} exceeds the full-propagation cap {ORACLE_CAP}")
 
     sizes = np.array([inst.n for inst in insts])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))

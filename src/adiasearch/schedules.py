@@ -71,8 +71,8 @@ class Schedule:
 
     `t_char` is the characteristic time of the kind: the total duration for
     linear and local, the ramp time T_par for parallel (whose window is
-    r*T_par long).  `epsilon` is the defining adiabaticity parameter for
-    local and optional metadata otherwise.
+    r*T_par long).  `epsilon` is the defining adiabaticity parameter of a
+    local schedule and None for the other kinds.
     """
 
     kind: Strategy
@@ -137,15 +137,11 @@ def _require_positive(**kwargs) -> None:
             raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
 
 
-def linear_schedule(
-    alpha: float, t_total: float, inst: SearchInstance, epsilon: float | None = None
-) -> Schedule:
+def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Schedule:
     """Straight ramps a = alpha*(t_f - t)/T, b = alpha*(t - t_i)/T on [0, T]."""
     _require_positive(alpha=alpha, t_total=t_total)
-    if epsilon is not None:
-        _require_positive(epsilon=epsilon)
     return Schedule(Strategy.LINEAR, inst.n, float(alpha), float(t_total),
-                    (0.0, float(t_total)), epsilon=epsilon)
+                    (0.0, float(t_total)))
 
 
 def local_schedule(alpha: float, epsilon: float, inst: SearchInstance) -> Schedule:

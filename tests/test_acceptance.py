@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from adiasearch.analytics import local_loss_exact, parallel_loss_gamma
+from adiasearch.analytics import local_loss_exact, parallel_loss_asymptotic
 from adiasearch.cli import main
 from adiasearch.model import SearchInstance
 from adiasearch.propagate import DEFAULT_STEPS, propagate
@@ -127,7 +127,8 @@ def test_criterion_03_parallel_reference_run(runs, capsys):
 
 def test_criterion_04_loss_decay_and_truncation_floor(runs, capsys):
     losses = [runs[f"decay_r12@{x:.4f}"].result.p_loss for x in INV_GAMMA_GRID]
-    predictions = [parallel_loss_gamma(1.0 / x)[0] for x in INV_GAMMA_GRID]
+    predictions = [parallel_loss_asymptotic(1.0, x * math.sqrt(20), 20)
+                   for x in INV_GAMMA_GRID]
     factors = [l / p for l, p in zip(losses, predictions)]
     factor_ok = all(0.5 <= f <= 2.0 for f in factors)
     decay_ok = all(a > b for a, b in zip(losses, losses[1:]))

@@ -9,8 +9,6 @@ from adiasearch.analytics import (
     local_loss_exact,
     loss_prediction,
     parallel_loss_asymptotic,
-    parallel_loss_gamma,
-    resonant_epsilon,
 )
 from adiasearch.errors import InvalidParameter
 from adiasearch.model import SearchInstance
@@ -62,48 +60,40 @@ class TestLocalLossAsymptotic:
         assert local_loss_asymptotic(0.25) < 1e-30
 
 
+def sech2_at_gamma(gamma):
+    # gamma = sqrt(n) / T_par; sqrt(100) = 10 is exact
+    return parallel_loss_asymptotic(1.0, 10.0 / gamma, 100)
+
+
 class TestParallelLoss:
     def test_asymptotic_from_schedule_params(self):
         assert parallel_loss_asymptotic(1.0, 4.7, 20) == pytest.approx(
             0.005408727903601989, rel=1e-12)
 
     def test_gamma_forms_reference(self):
-        exact, large = parallel_loss_gamma(1.0)
+        exact = sech2_at_gamma(1.0)
         assert exact == pytest.approx(0.007441950142796217, rel=1e-12)
-        assert large == pytest.approx(0.007469770926831957, rel=1e-12)
-        assert abs(exact - large) / exact < 0.01
+        # within 1% of the large-argument form 4 exp(-2 pi / gamma)
+        assert abs(exact - 4 * math.exp(-2 * math.pi)) / exact < 0.01
 
     def test_gamma_small_regime(self):
-        exact, large = parallel_loss_gamma(6 / 11)
-        assert exact == pytest.approx(3.975008504451859e-05, rel=1e-12)
-        assert large == pytest.approx(3.975087509877714e-05, rel=1e-12)
+        assert sech2_at_gamma(6 / 11) == pytest.approx(3.975008504451859e-05, rel=1e-12)
 
     def test_forms_agree_for_small_gamma(self):
         for gamma in (0.2, 0.5, 1.0):
-            exact, large = parallel_loss_gamma(gamma)
-            assert large == pytest.approx(exact, rel=4 * math.exp(-2 * math.pi / gamma))
+            large = 4 * math.exp(-2 * math.pi / gamma)
+            assert large == pytest.approx(sech2_at_gamma(gamma), rel=large)
 
     def test_monotone_in_gamma(self):
         gammas = np.linspace(0.2, 3.0, 40)
-        losses = [parallel_loss_gamma(g)[0] for g in gammas]
+        losses = [sech2_at_gamma(g) for g in gammas]
         assert all(x < y for x, y in zip(losses, losses[1:]))
 
     def test_rejects_bad_domain(self):
         with pytest.raises(InvalidParameter):
-            parallel_loss_gamma(0.0)
+            parallel_loss_asymptotic(0.0, 2.0, 20)
         with pytest.raises(InvalidParameter):
             parallel_loss_asymptotic(1.0, -2.0, 20)
-
-
-class TestResonantEpsilon:
-    def test_detects_half_integers(self):
-        assert resonant_epsilon(0.5)
-        assert resonant_epsilon(0.05)
-        assert resonant_epsilon(0.25)
-
-    def test_generic_value_clean(self):
-        assert not resonant_epsilon(EPS_REF)
-        assert not resonant_epsilon(0.2)
 
 
 class TestLossPrediction:
@@ -111,11 +101,6 @@ class TestLossPrediction:
         pred = loss_prediction(local_schedule(1.0, EPS_REF, inst20))
         assert pred.exact == pytest.approx(0.004616881791654995, rel=1e-12)
         assert pred.asymptotic == pytest.approx(1 / 121, rel=1e-12)
-        assert isinstance(pred.regime_note, str)
-
-    def test_local_resonance_flagged(self, inst20):
-        pred = loss_prediction(local_schedule(1.0, 0.05, inst20))
-        assert "non-robust" in pred.regime_note
 
     def test_parallel_prediction(self, inst20):
         sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
@@ -129,8 +114,7 @@ class TestLossPrediction:
 
 class TestAdiabaticityCheck:
     def test_linear_at_matched_cost_holds(self, inst20):
-        sched = linear_schedule(1.0, 440.0, inst20, epsilon=EPS_REF)
-        report = adiabaticity_check(sched)
+        report = adiabaticity_check(linear_schedule(1.0, 440.0, inst20), EPS_REF)
         assert report.holds
         assert report.ratio == pytest.approx(0.9746794344808963, rel=1e-9)
         assert report.min_gap == pytest.approx(1 / math.sqrt(20), rel=1e-10)
@@ -149,10 +133,6 @@ class TestAdiabaticityCheck:
     def test_requires_epsilon_somewhere(self, inst20):
         with pytest.raises(InvalidParameter):
             adiabaticity_check(linear_schedule(1.0, 10.0, inst20))
-
-    def test_rejects_coarse_sampling(self, inst20):
-        with pytest.raises(InvalidParameter):
-            adiabaticity_check(local_schedule(1.0, 0.1, inst20), samples=100)
 
 
 class TestNumericAgainstClosedForm:

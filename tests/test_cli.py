@@ -44,6 +44,7 @@ class TestRunConfig:
         dict(strategy="linear", n=20, T=5.0, alpha=0.0),
         dict(strategy="local", n=20, epsilon=0.1, alpha=0.0),
         dict(strategy="parallel", n=20, T=1.0, beta=0.0),
+        dict(strategy="linear", n=20, T=5.0, epsilon=0.1),
     ])
     def test_build_rejections(self, kwargs):
         with pytest.raises(InvalidParameter):
@@ -56,12 +57,6 @@ class TestRunConfig:
         assert sched.alpha_or_beta == 1.0
         assert sched.r == 8.0
         assert sched.shape.value == "tanh"
-
-    def test_linear_epsilon_is_metadata_only(self):
-        _, sched = RunConfig(strategy="linear", n=20, T=5.0,
-                             epsilon=0.1).build()
-        assert sched.epsilon == 0.1
-        assert sched.t_char == 5.0
 
 
 class TestRunCommand:
@@ -168,6 +163,16 @@ class TestSweepCommand:
         first, second = rows[0].split(","), rows[1].split(",")
         assert first[1] == "" and first[5] != ""
         assert second[5] == "" and float(second[1]) > 0
+
+    def test_linear_epsilon_fills_error_cells(self, tmp_path, capsys):
+        out = tmp_path / "lin"
+        code, _, _ = run_main(
+            ["sweep", "--strategy", "linear", "--variable", "n", "--values", "4", "20",
+             "--T", "40", "--epsilon", "0.3", "--output", str(out)], capsys)
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == [
+            "InvalidParameter: --epsilon does not apply to the linear strategy"] * 2
 
     def test_values_must_increase(self, tmp_path, capsys):
         code, _, err = run_main(
@@ -288,7 +293,8 @@ class TestCheckCommand:
         assert report["max_delta"] > 1e-16
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--steps", "500")])
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--steps", "500"),
+        ("--seed", "-1"), ("--full-steps", "500")])
     def test_rejected_before_propagation(self, tmp_path, capsys, monkeypatch,
                                          flag, value):
         runs = []
@@ -314,23 +320,25 @@ class TestCheckCommand:
 
 
 class TestEnvironmentCap:
+    """The full-space size cap is fixed at 512, whatever the environment says."""
+
     def test_oracle_cap_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ADIA_ORACLE_CAP", "10")
+        # no environment variable moves the cap
+        monkeypatch.setenv("ADIA_ORACLE_CAP", "1024")
         code, _, err = run_main(
-            ["check", "--n-list", "16", "--steps", "40000",
+            ["check", "--n-list", "513", "--steps", "40000",
              "--full-steps", "4000", "--tolerance", "1.0",
              "--output", str(tmp_path)], capsys)
         assert code == 2
-        assert "cap" in err or "exceed" in err.lower()
+        assert "n=513 exceeds the full-propagation cap 512" in err
 
     def test_cap_failure_runs_nothing(self, tmp_path, capsys, monkeypatch):
         # the n = 4 rows fit under the cap, but the whole batch is refused
         # before any reduced or full propagation starts
-        monkeypatch.setenv("ADIA_ORACLE_CAP", "10")
         reduced_runs = []
         monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: reduced_runs.append(args))
         code, _, err = run_main(
-            ["check", "--n-list", "4", "16", "--output", str(tmp_path)], capsys)
+            ["check", "--n-list", "4", "513", "--output", str(tmp_path)], capsys)
         assert code == 2
-        assert "n=16" in err
+        assert "n=513" in err
         assert reduced_runs == []

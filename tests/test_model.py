@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch.errors import InvalidParameter, OracleSizeExceeded
+from adiasearch.errors import InvalidParameter
 from adiasearch.model import (
     SearchInstance,
     adiabatic_populations,
     coupling_rate,
     eigenvalues,
     energy_gap,
-    full_hamiltonian,
     mixing_angle,
     reduced_terms,
 )
@@ -111,34 +110,25 @@ class TestAdiabaticProjection:
 
 
 class TestFullHamiltonian:
-    def test_uniform_projector_n2(self):
-        h = full_hamiltonian(1.0, 0.0, SearchInstance(2))
-        assert np.array_equal(h, np.full((2, 2), 0.5))
-
-    def test_marked_projector_n3(self):
-        h = full_hamiltonian(0.0, 1.0, SearchInstance(3, 1))
-        assert np.array_equal(h, np.diag([0.0, 1.0, 0.0]))
+    """The dense n x n matrix a |w><w| + b |m><m| against the reduction."""
 
     def test_dense_spectrum_matches_reduction(self):
-        h = full_hamiltonian(1.0, 1.0, SearchInstance(4, 0))
+        h = np.full((4, 4), 1.0 / 4)
+        h[0, 0] += 1.0
         dense = np.linalg.eigvalsh(h)
         lam_p, lam_m = eigenvalues(1.0, 1.0, 4)
         assert dense[-1] == pytest.approx(lam_p, abs=1e-12)
         assert dense[-2] == pytest.approx(lam_m, abs=1e-12)
 
-    def test_size_cap(self):
-        big = SearchInstance(513)
-        with pytest.raises(OracleSizeExceeded):
-            full_hamiltonian(1.0, 0.0, big)
-        assert full_hamiltonian(1.0, 0.0, big, cap=1024).shape == (513, 513)
-
     def test_spectral_equivalence_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(2, 65))
-            inst = SearchInstance(n, int(rng.integers(0, n)))
+            marked = int(rng.integers(0, n))
             a, b = rng.uniform(0.1, 2.0, size=2)
-            dense = np.linalg.eigvalsh(full_hamiltonian(a, b, inst))
+            h = np.full((n, n), a / n)
+            h[marked, marked] += b
+            dense = np.linalg.eigvalsh(h)
             lam_p, lam_m = eigenvalues(a, b, n)
             assert abs(dense[-1] - lam_p) < 1e-10
             assert abs(dense[-2] - lam_m) < 1e-10

@@ -1,6 +1,8 @@
 import ast
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -85,3 +87,50 @@ def test_readme_library_example_runs(tmp_path):
             assert alias.name in adiasearch.__all__, alias.name
     proc = _python(["-c", example], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+PACKAGE = os.path.dirname(os.path.abspath(adiasearch.__file__))
+PERFBENCH = os.path.join(os.path.dirname(README), "perfbench")
+
+
+def _defined_names(node):
+    """Public names that a top-level statement defines: def, class or constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _identifiers(node):
+    # names and attributes only: docstrings and other strings do not count
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_user():
+    # a public name in src must be used by other src code, or be named in
+    # README.md or in a perfbench script; one that only tests use belongs
+    # in the tests
+    statements = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        statements += [(os.path.basename(path), node, _identifiers(node))
+                       for node in tree.body]
+    texts = []
+    for path in [README, *glob.glob(os.path.join(PERFBENCH, "*.py"))]:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    unused = []
+    for module, definition, _ in statements:
+        for name in _defined_names(definition):
+            used = any(name in names for _, node, names in statements if node is not definition)
+            named = any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
+            if not (used or named):
+                unused.append(f"{module}:{name}")
+    assert unused == []

@@ -3,18 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from adiasearch.analytics import (
-    local_analytic_state,
-    local_loss_exact,
-    parallel_loss_gamma,
-)
+from adiasearch.analytics import local_loss_exact, parallel_loss_asymptotic
 from adiasearch.errors import (
     DegeneratePoint,
     InvalidParameter,
     NonUnit,
     OracleSizeExceeded,
 )
-from adiasearch.model import DEFAULT_ORACLE_CAP, SearchInstance
+from adiasearch.model import SearchInstance
 from adiasearch.propagate import (
     DEFAULT_STEPS,
     TRAJECTORY_COLUMNS,
@@ -94,7 +90,8 @@ class TestLocalRun:
         gap = energy_gap(a, b, 20).reshape(ts.shape)
         seg = half * (gap @ weights)
         tau = np.concatenate([[0.0], np.cumsum(seg)]) / 2.0
-        predicted = np.array([local_analytic_state(x, eps) for x in tau])
+        # p_minus(tau) = eps^2/(1+eps^2) sin^2(sqrt(1+eps^2) tau), exactly
+        predicted = eps**2 / (1 + eps**2) * np.sin(np.sqrt(1 + eps**2) * tau) ** 2
         assert np.max(np.abs(traj.p_minus - predicted)) <= 1e-6
 
     def test_loss_has_interference_oscillations(self, inst20):
@@ -195,15 +192,10 @@ class TestFullVersusReduced:
         assert abs(finals[0] - finals[1]) <= 1e-10
 
     def test_size_cap(self):
-        inst = SearchInstance(DEFAULT_ORACLE_CAP + 1)
+        inst = SearchInstance(513)
         sched = local_schedule(1.0, 0.3, inst)
-        with pytest.raises(OracleSizeExceeded):
+        with pytest.raises(OracleSizeExceeded, match="n=513 exceeds"):
             propagate_full([sched], [inst], steps=2000)
-        # explicit cap overrides the default
-        small = SearchInstance(8)
-        with pytest.raises(OracleSizeExceeded):
-            propagate_full([local_schedule(1.0, 0.3, small)], [small],
-                           steps=2000, cap=4)
 
 
 def _mixed_batch():
@@ -252,36 +244,16 @@ class TestBatchOracle:
     def test_guards_run_before_stepping(self, case):
         good = FrozenSchedule(1.0, 0.0, 4)
         scheds, insts, error = {
-            "cap": ([good, FrozenSchedule(1.0, 0.0, 16)],
-                    [SearchInstance(4), SearchInstance(16)], OracleSizeExceeded),
+            "cap": ([good, FrozenSchedule(1.0, 0.0, 513)],
+                    [SearchInstance(4), SearchInstance(513)], OracleSizeExceeded),
             "size": ([good, FrozenSchedule(1.0, 0.0, 8)],
                      [SearchInstance(4), SearchInstance(9)], InvalidParameter),
             "empty": ([], [], InvalidParameter),
             "lengths": ([good, good], [SearchInstance(4)], InvalidParameter),
         }[case]
         with pytest.raises(error):
-            propagate_full(scheds, insts, steps=1000, cap=10)
+            propagate_full(scheds, insts, steps=1000)
         assert good.calls == 0
-
-
-class TestLocalAnalyticState:
-    def test_zero_phase(self):
-        assert local_analytic_state(0.0, 0.1) == 0.0
-
-    def test_period(self):
-        eps = 0.1
-        tau = math.pi / math.sqrt(1 + eps * eps)
-        assert local_analytic_state(tau, eps) < 1e-28
-
-    def test_final_phase_reproduces_loss(self):
-        eps = EPS_REF
-        tau_f = math.atan(math.sqrt(19)) / eps
-        assert local_analytic_state(tau_f, eps) == pytest.approx(
-            local_loss_exact(eps, 20), rel=1e-12)
-
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(InvalidParameter):
-            local_analytic_state(1.0, 0.0)
 
 
 class TestValidation:
@@ -412,7 +384,7 @@ class TestPaperClaim:
         inst = SearchInstance(n)
         sched = parallel_schedule(1.0, inv_gamma * math.sqrt(n), inst, r=24.0)
         _, result = propagate(sched, inst)
-        ratio = result.p_loss / parallel_loss_gamma(1.0 / inv_gamma)[0]
+        ratio = result.p_loss / parallel_loss_asymptotic(1.0, inv_gamma * math.sqrt(n), n)
         assert 0.5 <= ratio <= 2.0
 
     def test_large_n(self):
@@ -426,7 +398,7 @@ class TestPaperClaim:
                  for steps in (DEFAULT_STEPS, 4 * DEFAULT_STEPS)]
         assert abs(floor[1] - floor[0]) <= 1e-4 * floor[0]
         _, result = propagate(parallel_schedule(1.0, 6000.0, inst, r=32.0), inst)
-        ratio = result.p_loss / parallel_loss_gamma(1.0 / 6.0)[0]
+        ratio = result.p_loss / parallel_loss_asymptotic(1.0, 6000.0, 10**6)
         assert 0.5 <= ratio <= 2.0
 
 
