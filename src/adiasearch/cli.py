@@ -7,6 +7,10 @@ Subcommands:
 * ``compare`` local strategy vs the equal-cost parallel schedule; ``compare.json``
 * ``check``   reduced vs full-space propagation agreement; ``check.json``
 
+Each subcommand handler takes the parsed arguments and builds every run
+it makes through `RunConfig.build`, so the step floor, the size floor
+and the inputs each strategy takes (`_INPUTS`) are checked in one place.
+
 Outputs are plain CSV/JSON so plotting can happen anywhere; identical
 configs (including seeds) produce byte-identical files.  Exit codes:
 0 success, 2 configuration error, 3 failed check.
@@ -33,6 +37,8 @@ from .propagate import (
     DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
     MIN_STEPS,
+    RunResult,
+    Trajectory,
     propagate,
     propagate_full,
     write_trajectory_csv,
@@ -41,6 +47,12 @@ from .schedules import Schedule, Shape, Strategy
 
 _STRATEGIES = tuple(s.value for s in Strategy)
 _SHAPES = tuple(s.value for s in Shape)
+# per strategy: the optional inputs it takes, and the one of them it requires
+_INPUTS = {
+    "linear": (("alpha", "T"), "T"),
+    "local": (("alpha", "epsilon"), "epsilon"),
+    "parallel": (("beta", "T", "r", "shape"), "T"),
+}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
 
@@ -49,7 +61,7 @@ CHECK_TOLERANCE = 1e-7
 class RunConfig:
     """One propagation request; also the per-point template for sweeps.
 
-    Fields that do not apply to the chosen strategy must stay None; the
+    Inputs that the strategy does not take (`_INPUTS`) must stay None; the
     build step rejects contradictions instead of silently ignoring them.
     An unset coupling scale or window factor takes its default only where
     it is read, in `scale` and `window_r`.
@@ -65,7 +77,6 @@ class RunConfig:
     r: float | None = None
     shape: str | None = None
     steps: int = DEFAULT_STEPS
-    output: str = "."
 
     def __post_init__(self) -> None:
         self.strategy = str(self.strategy).lower()
@@ -75,7 +86,6 @@ class RunConfig:
         self.n = int(self.n)
         self.marked = int(self.marked)
         self.steps = int(self.steps)
-        self.output = str(self.output)
         for field in ("alpha", "beta", "epsilon", "T", "r"):
             value = getattr(self, field)
             if value is not None:
@@ -112,37 +122,30 @@ class RunConfig:
             raise InvalidParameter(
                 f"--steps must be at least {MIN_STEPS}, got {self.steps}")
         inst = SearchInstance(self.n, self.marked)
-        self._reject("beta", self.strategy != Strategy.PARALLEL)
-        self._reject("alpha", self.strategy == Strategy.PARALLEL)
-        self._reject("r", self.strategy != Strategy.PARALLEL)
-        self._reject("shape", self.strategy != Strategy.PARALLEL)
-        self._reject("epsilon", self.strategy == Strategy.LINEAR)
-        if self.strategy == Strategy.LOCAL:
-            if self.epsilon is None:
-                raise InvalidParameter("--epsilon is required for the local strategy")
-            if self.T is not None:
+        takes, required = _INPUTS[self.strategy]
+        for field in ("beta", "alpha", "r", "shape", "epsilon", "T"):
+            if field not in takes and getattr(self, field) is not None:
                 raise InvalidParameter(
-                    "--T is derived for the local strategy; do not pass it")
+                    f"--{field} does not apply to the {self.strategy} strategy")
+        if getattr(self, required) is None:
+            raise InvalidParameter(
+                f"--{required} is required for the {self.strategy} strategy")
+        if self.strategy == Strategy.LOCAL:
             schedule = schedules.local_schedule(self.scale, self.epsilon, inst)
         elif self.strategy == Strategy.LINEAR:
-            if self.T is None:
-                raise InvalidParameter("--T is required for the linear strategy")
             schedule = schedules.linear_schedule(self.scale, self.T, inst)
         else:
-            if self.T is None:
-                raise InvalidParameter("--T is required for the parallel strategy")
-            if self.epsilon is not None:
-                raise InvalidParameter(
-                    "--epsilon does not apply to a parallel run; pick --T directly")
             shape = Shape(self.shape) if self.shape is not None else Shape.TANH
             schedule = schedules.parallel_schedule(
                 self.scale, self.T, inst, r=self.window_r, shape=shape)
         return inst, schedule
 
-    def _reject(self, field: str, condition: bool) -> None:
-        if condition and getattr(self, field) is not None:
-            raise InvalidParameter(
-                f"--{field} does not apply to the {self.strategy} strategy")
+
+def _propagate(config: RunConfig) -> tuple[Schedule, Trajectory, RunResult]:
+    """Build the config's schedule and propagate it at the config's step count."""
+    inst, schedule = config.build()
+    trajectory, result = propagate(schedule, inst, steps=config.steps)
+    return schedule, trajectory, result
 
 
 def _write_json(path: str, payload: dict) -> str:
@@ -153,26 +156,15 @@ def _write_json(path: str, payload: dict) -> str:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        strategy=args.strategy,
-        n=args.n if args.n is not None else 0,
-        marked=args.marked,
-        alpha=args.alpha,
-        beta=args.beta,
-        epsilon=args.epsilon,
-        T=args.T,
-        r=args.r,
-        shape=args.shape,
-        steps=args.steps,
-        output=args.output,
-    )
+    # every RunConfig field is a flag of the same name; --n may be absent in a sweep
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{**values, "n": args.n or 0})
 
 
-def cmd_run(config: RunConfig) -> int:
-    inst, schedule = config.build()
-    trajectory, result = propagate(schedule, inst, steps=config.steps)
-    os.makedirs(config.output, exist_ok=True)
-    write_trajectory_csv(trajectory, os.path.join(config.output, "trajectory.csv"))
+def cmd_run(args: argparse.Namespace) -> int:
+    _, trajectory, result = _propagate(_config_from_args(args))
+    os.makedirs(args.output, exist_ok=True)
+    write_trajectory_csv(trajectory, os.path.join(args.output, "trajectory.csv"))
     record = {
         "p_m_final": result.p_m_final,
         "p_loss": result.p_loss,
@@ -181,12 +173,16 @@ def cmd_run(config: RunConfig) -> int:
         "boundary_residual": result.boundary_residual,
         "analytic_loss": result.analytic_loss,
     }
-    print(_write_json(os.path.join(config.output, "result.json"), record))
+    print(_write_json(os.path.join(args.output, "result.json"), record))
     return 0
 
 
 def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConfig:
-    """Instantiate the template at one sweep value; validates applicability."""
+    """Instantiate the template at one sweep value; validates applicability.
+
+    T is derived only from a size of at least 2; below that the point is
+    left for `build` to refuse in its own row.
+    """
     strategy = template.strategy
     if variable == "epsilon":
         if strategy != Strategy.LOCAL:
@@ -199,6 +195,8 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
         if template.epsilon is not None:
             raise InvalidParameter(
                 "--epsilon does not apply to an inv_gamma sweep; the value fixes T")
+        if template.n < 2:
+            return template
         return dataclasses.replace(
             template, T=float(x) * math.sqrt(template.n) / template.scale)
     n_point = int(round(x))
@@ -210,44 +208,37 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
             raise InvalidParameter(
                 "an n sweep over the parallel strategy needs --epsilon "
                 "(sets T via gamma = epsilon*r/2) or an explicit --T")
-        gamma = schedules.equal_cost_gamma(template.epsilon, template.window_r)
-        t_par = math.sqrt(n_point) / (template.scale * gamma)
-        return dataclasses.replace(template, n=n_point, T=t_par, epsilon=None)
+        if n_point >= 2:
+            gamma = schedules.equal_cost_gamma(template.epsilon, template.window_r)
+            t_par = math.sqrt(n_point) / (template.scale * gamma)
+            return dataclasses.replace(template, n=n_point, T=t_par, epsilon=None)
     return dataclasses.replace(template, n=n_point)
 
 
-def _sweep_row(task: tuple[float, RunConfig]) -> tuple[float, dict]:
-    """Worker for one sweep point; never raises, errors land in the row."""
+def _sweep_row(task: tuple[float, RunConfig]) -> list[str]:
+    """Worker for one sweep point: its CSV cells; never raises, errors land in the row."""
     x, config = task
     try:
-        inst, schedule = config.build()
-        _, result = propagate(schedule, inst, steps=config.steps)
+        schedule, _, result = _propagate(config)
         prediction = analytics.loss_prediction(schedule)
-        return x, {
-            "loss_numeric": result.p_loss,
-            "loss_analytic_exact": None if prediction is None else prediction.exact,
-            "loss_analytic_asymptotic":
-                None if prediction is None else prediction.asymptotic,
-            "cost": result.cost,
-            "error": "",
-        }
     except AdiabaticSearchError as exc:
-        return x, {
-            "loss_numeric": None,
-            "loss_analytic_exact": None,
-            "loss_analytic_asymptotic": None,
-            "cost": None,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return [f"{x:.12g}", "", "", "", "", f"{type(exc).__name__}: {exc}"]
+    exact, asymptotic = ((None, None) if prediction is None
+                         else (prediction.exact, prediction.asymptotic))
+    values = (x, result.p_loss, exact, asymptotic, result.cost)
+    return ["" if v is None else f"{v:.12g}" for v in values] + [""]
 
 
 def _default_n_values() -> list[float]:
     return [float(v) for v in np.round(np.geomspace(10, 1000, 40)).astype(int)]
 
 
-def cmd_sweep(variable: str, values: list[float], template: RunConfig,
-              jobs: int = 1) -> int:
-    if variable == "n" and not values:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.n is None and args.variable != "n":
+        raise InvalidParameter("--n is required unless sweeping over n")
+    template = _config_from_args(args)
+    values = args.values
+    if args.variable == "n" and not values:
         values = sorted(set(_default_n_values()))
     if not values:
         raise InvalidParameter("--values must be non-empty")
@@ -256,45 +247,40 @@ def cmd_sweep(variable: str, values: list[float], template: RunConfig,
         raise InvalidParameter(f"--values must be finite, got {bad[0]!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidParameter("--values must be strictly increasing")
-    if jobs < 1:
-        raise InvalidParameter(f"--jobs must be at least 1, got {jobs}")
+    if args.jobs < 1:
+        raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
 
-    tasks = [(x, _sweep_point_config(variable, x, template)) for x in values]
-    if jobs == 1:
+    tasks = [(x, _sweep_point_config(args.variable, x, template)) for x in values]
+    if args.jobs == 1:
         rows = [_sweep_row(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~13 ms, only --jobs > 1
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks, chunksize=1))
 
-    os.makedirs(template.output, exist_ok=True)
-    path = os.path.join(template.output, "sweep.csv")
-    fields = ("loss_numeric", "loss_analytic_exact", "loss_analytic_asymptotic", "cost")
+    os.makedirs(args.output, exist_ok=True)
+    path = os.path.join(args.output, "sweep.csv")
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("x",) + fields + ("error",))
-        for x, row in rows:
-            cells = [f"{x:.12g}"]
-            cells += ["" if row[f] is None else f"{row[f]:.12g}" for f in fields]
-            cells.append(row["error"])
-            writer.writerow(cells)
+        writer.writerow(("x", "loss_numeric", "loss_analytic_exact",
+                         "loss_analytic_asymptotic", "cost", "error"))
+        writer.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    failed = sum(1 for _, row in rows if row["error"])
+    failed = sum(1 for row in rows if row[-1])
     if failed:
         print(f"{failed} point(s) failed; see the error column", file=sys.stderr)
     return 0
 
 
-def cmd_compare(epsilon: float, r: float, n: int, steps: int = DEFAULT_STEPS,
-                output: str = ".") -> int:
-    inst = SearchInstance(n)
-    local = schedules.local_schedule(1.0, epsilon, inst)
+def cmd_compare(args: argparse.Namespace) -> int:
+    epsilon, r, n = args.epsilon, args.r, args.n
     t_par = schedules.equal_cost_parallel_time(epsilon, r, n)
-    parallel = schedules.parallel_schedule(1.0, t_par, inst, r=r)
-
-    _, local_result = propagate(local, inst, steps=steps)
-    _, parallel_result = propagate(parallel, inst, steps=steps)
+    # parallel first: its build refuses a t_par that overflowed before anything runs
+    _, _, parallel_result = _propagate(
+        RunConfig("parallel", n=n, T=t_par, r=r, steps=args.steps))
+    local, _, local_result = _propagate(
+        RunConfig("local", n=n, epsilon=epsilon, steps=args.steps))
     reference_cost = schedules.parallel_peak_reference(1.0, n) * parallel_result.t_eff
 
     report = {
@@ -320,67 +306,61 @@ def cmd_compare(epsilon: float, r: float, n: int, steps: int = DEFAULT_STEPS,
         "cost_ratio_reference": reference_cost / local_result.cost,
         "loss_ratio": parallel_result.p_loss / local_result.p_loss,
     }
-    os.makedirs(output, exist_ok=True)
-    print(_write_json(os.path.join(output, "compare.json"), report))
+    os.makedirs(args.output, exist_ok=True)
+    print(_write_json(os.path.join(args.output, "compare.json"), report))
     return 0
 
 
-def _check_schedules(n: int, inst: SearchInstance) -> list[Schedule]:
-    # short windows keep the full-space RK4 cheap; equivalence must hold anyway
-    return [
-        schedules.linear_schedule(1.0, 50.0, inst),
-        schedules.local_schedule(1.0, 0.2, inst),
-        schedules.parallel_schedule(1.0, 0.6 * math.sqrt(n), inst, r=8.0),
-    ]
-
-
-def cmd_check(n_list: list[int], seed: int = 0, steps: int = DEFAULT_STEPS,
-              full_steps: int = DEFAULT_FULL_STEPS, tolerance: float = CHECK_TOLERANCE,
-              output: str = ".") -> int:
-    if not n_list:
+def cmd_check(args: argparse.Namespace) -> int:
+    if not args.n_list:
         raise InvalidParameter("--n-list must be non-empty")
-    if seed < 0:
-        raise InvalidParameter(f"--seed must be non-negative, got {seed}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
+    if min(args.n_list) < 2:
+        raise InvalidParameter(f"--n-list values must be at least 2, got {min(args.n_list)}")
+    if args.seed < 0:
+        raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise InvalidParameter(
-            f"--tolerance must be finite and positive, got {tolerance!r}")
-    if steps < MIN_STEPS:
-        raise InvalidParameter(f"--steps must be at least {MIN_STEPS}, got {steps}")
-    if full_steps < MIN_STEPS:
+            f"--tolerance must be finite and positive, got {args.tolerance!r}")
+    rng = np.random.default_rng(args.seed)
+    configs = []
+    for n in args.n_list:
+        marked = int(rng.integers(0, n))
+        # short windows keep the full-space RK4 cheap; equivalence must hold anyway
+        configs += [
+            RunConfig("linear", n=n, marked=marked, T=50.0, steps=args.steps),
+            RunConfig("local", n=n, marked=marked, epsilon=0.2, steps=args.steps),
+            RunConfig("parallel", n=n, marked=marked, T=0.6 * math.sqrt(n), r=8.0,
+                      steps=args.steps),
+        ]
+    insts, batch = zip(*(config.build() for config in configs))
+    if args.full_steps < MIN_STEPS:
         raise InvalidParameter(
-            f"--full-steps must be at least {MIN_STEPS}, got {full_steps}")
-    rng = np.random.default_rng(seed)
-    insts, batch = [], []
-    for n in n_list:
-        inst = SearchInstance(n, int(rng.integers(0, n)))
-        for schedule in _check_schedules(n, inst):
-            insts.append(inst)
-            batch.append(schedule)
+            f"--full-steps must be at least {MIN_STEPS}, got {args.full_steps}")
     # one oracle call for every entry; its guards run before any propagation
-    fulls = propagate_full(batch, insts, steps=full_steps)
+    fulls = propagate_full(batch, insts, steps=args.full_steps)
     entries = []
-    for inst, schedule, full in zip(insts, batch, fulls):
-        _, reduced = propagate(schedule, inst, steps=steps)
+    for config, full in zip(configs, fulls):
+        _, _, reduced = _propagate(config)
         entries.append({
-            "n": inst.n,
-            "marked": inst.marked,
-            "strategy": schedule.kind.value,
+            "n": config.n,
+            "marked": config.marked,
+            "strategy": config.strategy,
             "p_m_reduced": reduced.p_m_final,
             "p_m_full": full.p_m_final,
             "delta": abs(reduced.p_m_final - full.p_m_final),
         })
     max_delta = max(entry["delta"] for entry in entries)
     report = {
-        "seed": seed,
-        "steps": steps,
-        "full_steps": full_steps,
-        "tolerance": tolerance,
+        "seed": args.seed,
+        "steps": args.steps,
+        "full_steps": args.full_steps,
+        "tolerance": args.tolerance,
         "entries": entries,
         "max_delta": max_delta,
-        "pass": bool(max_delta < tolerance),
+        "pass": bool(max_delta < args.tolerance),
     }
-    os.makedirs(output, exist_ok=True)
-    print(_write_json(os.path.join(output, "check.json"), report))
+    os.makedirs(args.output, exist_ok=True)
+    print(_write_json(os.path.join(args.output, "check.json"), report))
     return 0 if report["pass"] else 3
 
 
@@ -412,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="single propagation")
     add_config_flags(run_p, n_required=True)
+    run_p.set_defaults(handler=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="one run per swept value")
     add_config_flags(sweep_p, n_required=False)
@@ -422,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(n sweeps default to 40 log-spaced in [10, 1000])")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="concurrent worker processes")
+    sweep_p.set_defaults(handler=cmd_sweep)
 
     compare_p = sub.add_parser(
         "compare", help="local vs equal-cost parallel at the same (epsilon, r, n)")
@@ -430,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_p.add_argument("--n", type=int, required=True)
     compare_p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     compare_p.add_argument("--output", default=".")
+    compare_p.set_defaults(handler=cmd_compare)
 
     check_p = sub.add_parser(
         "check", help="reduced vs full-space propagation agreement")
@@ -441,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="full-space RK4 steps")
     check_p.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE)
     check_p.add_argument("--output", default=".")
+    check_p.set_defaults(handler=cmd_check)
     return parser
 
 
@@ -453,20 +437,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(_config_from_args(args))
-        if args.command == "sweep":
-            if args.n is None and args.variable != "n":
-                raise InvalidParameter("--n is required unless sweeping over n")
-            template = _config_from_args(args)
-            return cmd_sweep(args.variable, args.values or [], template,
-                             jobs=args.jobs)
-        if args.command == "compare":
-            return cmd_compare(args.epsilon, args.r, args.n,
-                               steps=args.steps, output=args.output)
-        return cmd_check(args.n_list, seed=args.seed, steps=args.steps,
-                         full_steps=args.full_steps, tolerance=args.tolerance,
-                         output=args.output)
+        return args.handler(args)
     except AdiabaticSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

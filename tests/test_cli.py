@@ -50,6 +50,25 @@ class TestRunConfig:
         with pytest.raises(InvalidParameter):
             RunConfig(**kwargs).build()
 
+    @pytest.mark.parametrize("strategy, required, field", [
+        ("linear", {"T": 5.0}, "beta"),
+        ("linear", {"T": 5.0}, "epsilon"),
+        ("linear", {"T": 5.0}, "r"),
+        ("linear", {"T": 5.0}, "shape"),
+        ("local", {"epsilon": 0.1}, "beta"),
+        ("local", {"epsilon": 0.1}, "T"),
+        ("local", {"epsilon": 0.1}, "r"),
+        ("local", {"epsilon": 0.1}, "shape"),
+        ("parallel", {"T": 1.0}, "alpha"),
+        ("parallel", {"T": 1.0}, "epsilon"),
+    ])
+    def test_input_the_strategy_does_not_take(self, strategy, required, field):
+        value = "tanh" if field == "shape" else 1.0
+        config = RunConfig(strategy=strategy, n=20, **required, **{field: value})
+        with pytest.raises(InvalidParameter) as info:
+            config.build()
+        assert str(info.value) == f"--{field} does not apply to the {strategy} strategy"
+
     def test_build_defaults(self):
         inst, sched = RunConfig(strategy="parallel", n=20, T=2.0).build()
         assert inst == SearchInstance(20)
@@ -174,6 +193,20 @@ class TestSweepCommand:
         assert [row.split(",")[5] for row in rows] == [
             "InvalidParameter: --epsilon does not apply to the linear strategy"] * 2
 
+    @pytest.mark.parametrize("argv, size", [
+        (["--variable", "n", "--epsilon", "0.1", "--values", "-3", "10"], "-3"),
+        (["--variable", "inv_gamma", "--values", "1", "2", "--n", "-5"], "-5"),
+    ])
+    def test_parallel_size_below_2_fills_error_cells(self, tmp_path, capsys, argv, size):
+        # T is not derived from such a size; build refuses it in the row
+        out = tmp_path / "neg"
+        code, _, _ = run_main(
+            ["sweep", "--strategy", "parallel", *argv, "--steps", "1000",
+             "--output", str(out)], capsys)
+        assert code == 0
+        assert (out / "sweep.csv").read_text().splitlines()[1].endswith(
+            f',"InvalidParameter: --n must be at least 2, got {size}"')
+
     def test_values_must_increase(self, tmp_path, capsys):
         code, _, err = run_main(
             ["sweep", "--strategy", "local", "--variable", "epsilon",
@@ -264,6 +297,17 @@ class TestCompareCommand:
              "--output", str(tmp_path)], capsys)
         assert code == 2
 
+    def test_steps_rejected_before_propagation(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["compare", "--epsilon", "0.1", "--r", "12", "--n", "20", "--steps", "500",
+             "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "--steps" in err
+        assert runs == []
+        assert not (tmp_path / "compare.json").exists()
+
 
 class TestCheckCommand:
     def test_deterministic_and_passing(self, tmp_path, capsys):
@@ -294,7 +338,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tolerance", "nan"), ("--tolerance", "inf"), ("--steps", "500"),
-        ("--seed", "-1"), ("--full-steps", "500")])
+        ("--seed", "-1"), ("--full-steps", "500"), ("--n-list", "0")])
     def test_rejected_before_propagation(self, tmp_path, capsys, monkeypatch,
                                          flag, value):
         runs = []
