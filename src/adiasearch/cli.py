@@ -53,6 +53,8 @@ _INPUTS = {
     "local": (("alpha", "epsilon"), "epsilon"),
     "parallel": (("beta", "T", "r", "shape"), "T"),
 }
+# the flag that each swept variable sets point by point
+_SWEPT_FLAG = {"epsilon": "epsilon", "inv_gamma": "T", "n": "n"}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
 
@@ -148,6 +150,24 @@ def _propagate(config: RunConfig) -> tuple[Schedule, Trajectory, RunResult]:
     return schedule, trajectory, result
 
 
+def _summary(schedule: Schedule, result: RunResult) -> dict:
+    """The `result.json` keys: the run's populations beside its schedule's cost,
+    boundary residual and predicted loss (the exact one where there is one)."""
+    report = schedules.cost(schedule)
+    a, b, _, _ = schedule.couplings(schedule.window)
+    prediction = analytics.loss_prediction(schedule)
+    analytic = None if prediction is None else (
+        prediction.exact if prediction.exact is not None else prediction.asymptotic)
+    return {
+        "p_m_final": result.p_m_final,
+        "p_loss": result.p_loss,
+        "cost": report.cost,
+        "t_eff": report.t_eff,
+        "boundary_residual": (abs(float(b[0])) + abs(float(a[1]))) / schedule.alpha_or_beta,
+        "analytic_loss": analytic,
+    }
+
+
 def _write_json(path: str, payload: dict) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -162,18 +182,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _, trajectory, result = _propagate(_config_from_args(args))
+    schedule, trajectory, result = _propagate(_config_from_args(args))
     os.makedirs(args.output, exist_ok=True)
     write_trajectory_csv(trajectory, os.path.join(args.output, "trajectory.csv"))
-    record = {
-        "p_m_final": result.p_m_final,
-        "p_loss": result.p_loss,
-        "cost": result.cost,
-        "t_eff": result.t_eff,
-        "boundary_residual": result.boundary_residual,
-        "analytic_loss": result.analytic_loss,
-    }
-    print(_write_json(os.path.join(args.output, "result.json"), record))
+    print(_write_json(os.path.join(args.output, "result.json"), _summary(schedule, result)))
     return 0
 
 
@@ -221,11 +233,12 @@ def _sweep_row(task: tuple[float, RunConfig]) -> list[str]:
     try:
         schedule, _, result = _propagate(config)
         prediction = analytics.loss_prediction(schedule)
+        cost = schedules.cost(schedule).cost
     except AdiabaticSearchError as exc:
         return [f"{x:.12g}", "", "", "", "", f"{type(exc).__name__}: {exc}"]
     exact, asymptotic = ((None, None) if prediction is None
                          else (prediction.exact, prediction.asymptotic))
-    values = (x, result.p_loss, exact, asymptotic, result.cost)
+    values = (x, result.p_loss, exact, asymptotic, cost)
     return ["" if v is None else f"{v:.12g}" for v in values] + [""]
 
 
@@ -236,6 +249,10 @@ def _default_n_values() -> list[float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n is None and args.variable != "n":
         raise InvalidParameter("--n is required unless sweeping over n")
+    flag = _SWEPT_FLAG[args.variable]
+    if getattr(args, flag) is not None:
+        raise InvalidParameter(
+            f"--{flag} does not apply to an {args.variable} sweep; the values set it")
     template = _config_from_args(args)
     values = args.values
     if args.variable == "n" and not values:
@@ -277,11 +294,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     epsilon, r, n = args.epsilon, args.r, args.n
     t_par = schedules.equal_cost_parallel_time(epsilon, r, n)
     # parallel first: its build refuses a t_par that overflowed before anything runs
-    _, _, parallel_result = _propagate(
+    schedule, _, result = _propagate(
         RunConfig("parallel", n=n, T=t_par, r=r, steps=args.steps))
-    local, _, local_result = _propagate(
+    parallel = _summary(schedule, result)
+    schedule, _, result = _propagate(
         RunConfig("local", n=n, epsilon=epsilon, steps=args.steps))
-    reference_cost = schedules.parallel_peak_reference(1.0, n) * parallel_result.t_eff
+    local = _summary(schedule, result)
+    reference_cost = schedules.parallel_peak_reference(1.0, n) * parallel["t_eff"]
 
     report = {
         "n": n,
@@ -290,21 +309,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "gamma": schedules.equal_cost_gamma(epsilon, r),
         "t_parallel": t_par,
         "local": {
-            "t_total": local.t_char,
-            "cost": local_result.cost,
-            "p_loss": local_result.p_loss,
-            "analytic_loss": local_result.analytic_loss,
+            "t_total": local["t_eff"],  # the local window is [0, t_total]
+            "cost": local["cost"],
+            "p_loss": local["p_loss"],
+            "analytic_loss": local["analytic_loss"],
         },
         "parallel": {
-            "cost_numeric": parallel_result.cost,
+            "cost_numeric": parallel["cost"],
             "cost_reference": reference_cost,
-            "p_loss": parallel_result.p_loss,
-            "analytic_loss": parallel_result.analytic_loss,
-            "boundary_residual": parallel_result.boundary_residual,
+            "p_loss": parallel["p_loss"],
+            "analytic_loss": parallel["analytic_loss"],
+            "boundary_residual": parallel["boundary_residual"],
         },
-        "cost_ratio_numeric": parallel_result.cost / local_result.cost,
-        "cost_ratio_reference": reference_cost / local_result.cost,
-        "loss_ratio": parallel_result.p_loss / local_result.p_loss,
+        "cost_ratio_numeric": parallel["cost"] / local["cost"],
+        "cost_ratio_reference": reference_cost / local["cost"],
+        "loss_ratio": parallel["p_loss"] / local["p_loss"],
     }
     os.makedirs(args.output, exist_ok=True)
     print(_write_json(os.path.join(args.output, "compare.json"), report))
@@ -339,8 +358,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     # one oracle call for every entry; its guards run before any propagation
     fulls = propagate_full(batch, insts, steps=args.full_steps)
     entries = []
-    for config, full in zip(configs, fulls):
-        _, _, reduced = _propagate(config)
+    for config, schedule, inst, full in zip(configs, batch, insts, fulls):
+        _, reduced = propagate(schedule, inst, steps=args.steps)
         entries.append({
             "n": config.n,
             "marked": config.marked,

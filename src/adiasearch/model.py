@@ -35,6 +35,10 @@ import numpy as np
 
 from .errors import InvalidParameter
 
+# largest database size: every integer up to 2**53 is exact as a float, and
+# the kernels take n as a float
+MAX_N = 2**53
+
 
 @dataclass(frozen=True)
 class SearchInstance:
@@ -52,6 +56,8 @@ class SearchInstance:
         object.__setattr__(self, "marked", int(self.marked))
         if self.n < 2:
             raise InvalidParameter(f"database size must be >= 2, got n={self.n}")
+        if self.n > MAX_N:
+            raise InvalidParameter(f"database size must be <= {MAX_N}, got n={self.n}")
         if not 0 <= self.marked < self.n:
             raise InvalidParameter(
                 f"marked index must lie in [0, {self.n}), got {self.marked}"

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytics, model, schedules
+from . import model
 from .errors import (
     DegeneratePoint,
     InvalidParameter,
@@ -89,42 +89,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final-state summary of one propagation."""
+    """What one propagation measured at the end of the window.
+
+    Figures of the schedule alone, such as its cost and predicted loss,
+    come from `schedules.cost` and `analytics.loss_prediction`.
+    """
 
     p_m_final: float
     p_loss: float
-    cost: float
-    t_eff: float
-    boundary_residual: float
-    analytic_loss: float | None
     norm_drift: float
     error_estimate: float | None = None
-
-
-def _run_summary(schedule: Schedule, p_m_final: float, p_loss: float,
-                 norm_drift: float, error_estimate: float | None = None) -> RunResult:
-    report = schedules.cost(schedule)
-    t_i, t_f = schedule.window
-    _, b_i, _, _ = schedule.couplings(t_i)
-    a_f, _, _, _ = schedule.couplings(t_f)
-    residual = (abs(float(b_i)) + abs(float(a_f))) / schedule.alpha_or_beta
-    prediction = analytics.loss_prediction(schedule)
-    if prediction is None:
-        analytic = None
-    elif prediction.exact is not None:
-        analytic = prediction.exact
-    else:
-        analytic = prediction.asymptotic
-    return RunResult(
-        p_m_final=p_m_final,
-        p_loss=p_loss,
-        cost=report.cost,
-        t_eff=report.t_eff,
-        boundary_residual=residual,
-        analytic_loss=analytic,
-        norm_drift=norm_drift,
-        error_estimate=error_estimate,
-    )
 
 
 def _phase_grid(schedule: Schedule, n: int, steps: int) -> np.ndarray:
@@ -243,7 +217,7 @@ def propagate(
     p_plus, p_minus = model.adiabatic_populations(theta, amp_u, amp_m)
 
     drift = float(np.max(np.abs(norm - 1.0)))
-    if drift > 1e-9:
+    if not drift <= 1e-9:  # a NaN norm fails too
         raise NonUnit(f"norm drifted by {drift:.3e} during propagation")
 
     # Richardson estimate from the same nodes at half the steps (order 4:
@@ -261,8 +235,7 @@ def propagate(
         lambda_plus=lam_p, lambda_minus=lam_m, theta=theta, theta_dot=rate,
         p_u=p_u, p_m=p_m, p_plus=p_plus, p_minus=p_minus, norm=norm,
     )
-    p_loss = min(1.0, float(p_minus[-1]))
-    result = _run_summary(schedule, float(p_m[-1]), p_loss, drift, float(estimate))
+    result = RunResult(float(p_m[-1]), min(1.0, float(p_minus[-1])), drift, float(estimate))
     return trajectory, result
 
 
@@ -357,8 +330,7 @@ def propagate_full(
         c_u = (state.sum() - c_m) / math.sqrt(n - 1.0)
         a_f, b_f, _, _ = schedule.couplings(schedule.window[1])
         _, p_minus = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)
-        results.append(_run_summary(schedule, float(abs(c_m) ** 2),
-                                    min(1.0, float(p_minus)), drift))
+        results.append(RunResult(float(abs(c_m) ** 2), min(1.0, float(p_minus)), drift))
     return results
 
 

@@ -165,6 +165,8 @@ def parallel_schedule(
         shape = Shape(shape)
     except ValueError as exc:
         raise InvalidParameter(f"shape must be 'tanh' or 'erf', got {shape!r}") from exc
+    if not math.isfinite(r * t_par):
+        raise InvalidParameter(f"the window r*T overflows: T={t_par!r}, r={r!r}")
     half = 0.5 * r * t_par
     return Schedule(Strategy.PARALLEL, inst.n, float(beta), float(t_par),
                     (-half, half), r=float(r), shape=shape)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from adiasearch import cli
+from adiasearch import analytics, cli, schedules
+from adiasearch.analytics import local_loss_exact
 from adiasearch.cli import RunConfig, main
 from adiasearch.errors import InvalidParameter
 from adiasearch.model import SearchInstance
@@ -107,6 +108,39 @@ class TestRunCommand:
                           (out / "trajectory.csv").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    def test_analytic_loss_recorded(self, tmp_path, capsys):
+        code, stdout, _ = run_main(
+            ["run", "--strategy", "local", "--n", "20", "--epsilon", "0.15",
+             "--steps", "1000", "--output", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(stdout)["analytic_loss"] == pytest.approx(
+            local_loss_exact(0.15, 20), rel=1e-12)
+
+    def test_boundary_residual_recorded(self, tmp_path, capsys):
+        code, stdout, _ = run_main(
+            ["run", "--strategy", "parallel", "--n", "20", "--T", "4.7", "--r", "8",
+             "--steps", "2000", "--output", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(stdout)["boundary_residual"] == pytest.approx(
+            0.005961181821849737, rel=1e-10)
+
+    def test_nan_state_exits_2(self, tmp_path, capsys):
+        # T = 8.7e300 overflows the step exponentials to NaN
+        with pytest.warns(RuntimeWarning):
+            code, _, err = run_main(
+                ["run", "--strategy", "local", "--n", "20", "--epsilon", "1e-300",
+                 "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "norm drifted by nan" in err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_size_above_max_exits_2(self, tmp_path, capsys):
+        code, _, err = run_main(
+            ["run", "--strategy", "local", "--n", "9007199254740993", "--epsilon", "0.1",
+             "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "database size must be <= 9007199254740992" in err
+
     def test_errors_exit_2(self, tmp_path, capsys):
         code, _, err = run_main(
             ["run", "--strategy", "local", "--n", "20",
@@ -206,6 +240,36 @@ class TestSweepCommand:
         assert code == 0
         assert (out / "sweep.csv").read_text().splitlines()[1].endswith(
             f',"InvalidParameter: --n must be at least 2, got {size}"')
+
+    def test_size_above_max_fills_error_cell(self, tmp_path, capsys):
+        out = tmp_path / "big"
+        code, _, _ = run_main(
+            ["sweep", "--strategy", "local", "--variable", "n", "--values", "10", "1e16",
+             "--epsilon", "0.1", "--steps", "1000", "--output", str(out)], capsys)
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].endswith(",")
+        assert rows[1].endswith(',"InvalidParameter: database size must be '
+                                '<= 9007199254740992, got n=10000000000000000"')
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--strategy", "local", "--variable", "epsilon", "--values", "0.1", "0.2",
+          "--n", "20", "--epsilon", "0.3"], "--epsilon"),
+        (["--strategy", "parallel", "--variable", "inv_gamma", "--values", "1", "2",
+          "--n", "20", "--T", "5"], "--T"),
+        (["--strategy", "local", "--variable", "n", "--values", "10", "20",
+          "--epsilon", "0.1", "--n", "50"], "--n"),
+    ])
+    def test_swept_variable_flag_rejected(self, tmp_path, capsys, monkeypatch,
+                                          argv, flag):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["sweep", *argv, "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert f"error: {flag} does not apply" in err
+        assert runs == []
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_values_must_increase(self, tmp_path, capsys):
         code, _, err = run_main(
@@ -352,6 +416,18 @@ class TestCheckCommand:
         assert flag in err
         assert runs == []
         assert not (tmp_path / "check.json").exists()
+
+    def test_computes_no_cost_or_prediction(self, tmp_path, capsys, monkeypatch):
+        # check compares final populations only
+        def refuse(*args, **kwargs):
+            raise AssertionError("check has no use for this")
+
+        monkeypatch.setattr(schedules, "cost", refuse)
+        monkeypatch.setattr(analytics, "loss_prediction", refuse)
+        code, _, _ = run_main(
+            ["check", "--n-list", "4", "--steps", "40000", "--full-steps", "4000",
+             "--tolerance", "1.0", "--output", str(tmp_path)], capsys)
+        assert code == 0
 
     def test_smallest_instance_agrees(self, tmp_path, capsys):
         out = tmp_path / "edge"

@@ -5,6 +5,7 @@ import pytest
 
 from adiasearch.errors import InvalidParameter
 from adiasearch.model import (
+    MAX_N,
     SearchInstance,
     adiabatic_populations,
     coupling_rate,
@@ -23,7 +24,11 @@ class TestSearchInstance:
     def test_defaults_marked_zero(self):
         assert SearchInstance(2).marked == 0
 
-    @pytest.mark.parametrize("n,marked", [(1, 0), (0, 0), (4, 4), (4, -1)])
+    def test_largest_size(self):
+        assert MAX_N == 2**53
+        assert SearchInstance(MAX_N, MAX_N - 1).n == MAX_N
+
+    @pytest.mark.parametrize("n,marked", [(1, 0), (0, 0), (4, 4), (4, -1), (MAX_N + 1, 0)])
     def test_rejects_bad(self, n, marked):
         with pytest.raises(InvalidParameter):
             SearchInstance(n, marked)

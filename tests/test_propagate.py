@@ -112,7 +112,6 @@ class TestLocalRun:
         # oracle coupling vanishes at the end, so |-> coincides with |m>
         _, res = propagate(local_schedule(1.0, 0.15, inst20), inst20, steps=50_000)
         assert res.p_loss == pytest.approx(1 - res.p_m_final, abs=1e-9)
-        assert res.analytic_loss == pytest.approx(local_loss_exact(0.15, 20), rel=1e-12)
 
 
 class TestParallelRun:
@@ -125,12 +124,6 @@ class TestParallelRun:
         sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
         traj, _ = propagate(sched, inst20)
         assert np.min(np.diff(traj.p_m)) > -1e-3
-
-    def test_boundary_residual_recorded(self, inst20):
-        sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
-        _, result = propagate(sched, inst20, steps=2000)
-        assert result.boundary_residual == pytest.approx(
-            0.005961181821849737, rel=1e-10)
 
 
 @pytest.fixture(scope="module")

@@ -160,6 +160,11 @@ class TestParallelSchedule:
         with pytest.raises(InvalidParameter):
             parallel_schedule(1.0, 1.0, inst20, shape="cubic")
 
+    def test_rejects_overflowing_window(self, inst20):
+        # r*T/2 = 4e308 is inf; the message names both inputs
+        with pytest.raises(InvalidParameter, match=r"T=1e\+308, r=8\.0"):
+            parallel_schedule(1.0, 1e308, inst20, r=8.0)
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("build", [
