@@ -9,12 +9,14 @@ it), and one step of length h applies the exact SU(2) exponential
 
 with H_1, H_2 at the Gauss points and the commutator along sigma_y.
 Every step is unitary, so the norm is conserved to rounding.  The steps
-are multiplied by pairwise halving in NumPy; the only Python loop runs
-over the ~2000 sampled trajectory chunks, never over steps.
+of each ~2000 sampled trajectory chunk are multiplied by pairwise
+halving, and the chunk products by a log-depth prefix scan, both in
+NumPy: no Python loop runs over steps or chunks.
 
 The nodes are not uniform in t: they sit at equal increments of phase,
-rotation and relative gap change (`_phase_grid`), so a crossing of width
-~1/sqrt(n) gets as many steps as it needs.  The same nodes taken every
+rotation and relative gap change (`_phase_grid`, three coarse passes of
+~2000 cells and one of 2*steps cells), so a crossing of width ~1/sqrt(n)
+gets as many steps as it needs.  The same nodes taken every
 other one give a half-resolution run, and the difference, divided by
 2^4 - 1, estimates the discretization error (`RunResult.error_estimate`).
 
@@ -48,6 +50,9 @@ from .schedules import Schedule
 DEFAULT_STEPS = 16_000
 # fewest steps any propagation or command accepts
 MIN_STEPS = 1000
+# cells of each coarse pass of `_phase_grid`; never more than the last
+# pass's 2*steps, since steps >= MIN_STEPS
+_COARSE_CELLS = 2 * MIN_STEPS
 
 # Gauss-Legendre points of a step sit at its midpoint -/+ sqrt(3)/6 of its
 # length; the Magnus-4 commutator term is sqrt(3)/12 h^2 [A_2, A_1], and
@@ -101,31 +106,44 @@ class RunResult:
     error_estimate: float | None = None
 
 
+def _cumulative_mass(schedule: Schedule, n: int, t: np.ndarray) -> np.ndarray:
+    """Grid mass from t[0] to each point of t: the cdf `_phase_grid` inverts.
+
+    A cell's mass is its dynamical phase int gap dt (trapezoid), plus four
+    times the eigenbasis rotation |d theta| = |d atan2(omega, delta)| / 2,
+    plus the relative change of the gap |d ln gap|.
+    """
+    a, b, _, _ = schedule.couplings(t)
+    _, delta, omega = model.reduced_terms(a, b, n)
+    gap = 2.0 * np.hypot(delta, omega)
+    if not np.all(gap > 0.0):
+        raise DegeneratePoint("schedule passes through a = b = 0")
+    mass = (0.5 * (gap[1:] + gap[:-1]) * np.diff(t)
+            + 2.0 * np.abs(np.diff(np.arctan2(omega, delta)))
+            + np.abs(np.diff(np.log(gap))))
+    return np.concatenate(([0.0], np.cumsum(mass)))
+
+
 def _phase_grid(schedule: Schedule, n: int, steps: int) -> np.ndarray:
     """Nodes t_i = t_0 < ... < t_steps = t_f at equal steps of the grid mass.
 
-    The mass of a stretch of the window is its dynamical phase int gap dt,
-    plus four times the eigenbasis rotation |d theta|, plus the relative
-    change of the gap |d ln gap|.  It is summed cell by cell on a grid of
-    2*steps cells and inverted by linear interpolation.  The first pass
-    uses a uniform grid; the second subdivides the first pass's nodes, so
-    that features narrower than a uniform cell are resolved as well.
+    Each pass sums the mass (`_cumulative_mass`) over a subdivision of the
+    previous pass's nodes into cells and places new nodes at equal
+    increments of it, by linear interpolation.  Three coarse passes of
+    `_COARSE_CELLS` cells, each placing half as many nodes, come first:
+    the first on a uniform grid, the others over the previous pass's
+    nodes.  A feature narrower than a cell still adds its whole mass to
+    the cell that straddles it, so each pass crowds nodes around it and
+    the next one resolves it further.  The last pass takes 2*steps cells
+    over the coarse nodes and places the `steps` steps.
     """
-    t_i, t_f = schedule.window
-    nodes = np.linspace(t_i, t_f, steps + 1)
-    index = np.arange(steps + 1)
-    halves = np.arange(2 * steps + 1) / 2.0
-    for _ in range(2):
-        fine = np.interp(halves, index, nodes)
-        a, b, _, _ = schedule.couplings(fine)
-        gap = model.energy_gap(a, b, n)
-        if not np.all(gap > 0.0):
-            raise DegeneratePoint("schedule passes through a = b = 0")
-        mass = (0.5 * (gap[1:] + gap[:-1]) * np.diff(fine)
-                + 4.0 * np.abs(np.diff(model.mixing_angle(a, b, n)))
-                + np.abs(np.diff(np.log(gap))))
-        cdf = np.concatenate(([0.0], np.cumsum(mass)))
-        nodes = np.interp(np.linspace(0.0, cdf[-1], steps + 1), cdf, fine)
+    nodes = np.array(schedule.window)
+    coarse = (_COARSE_CELLS, _COARSE_CELLS // 2)
+    for cells, count in (coarse, coarse, coarse, (2 * steps, steps)):
+        fine = np.interp(np.linspace(0.0, len(nodes) - 1.0, cells + 1),
+                         np.arange(len(nodes)), nodes)
+        cdf = _cumulative_mass(schedule, n, fine)
+        nodes = np.interp(np.linspace(0.0, cdf[-1], count + 1), cdf, fine)
     return nodes
 
 
@@ -151,6 +169,16 @@ def _magnus_steps(schedule: Schedule, n: int, nodes: np.ndarray):
     return np.cos(r) - 1j * sinc * z, sinc * (y - 1j * x)
 
 
+def _product(alpha2, beta2, alpha1, beta1):
+    """Pair of U_2 U_1, each U = [[alpha, -conj(beta)], [beta, conj(alpha)]].
+
+    (alpha1, beta1) is also U_1's first column, so a unit state (c_u, c_m)
+    passed in its place comes out as U_2 applied to it.
+    """
+    return (alpha2 * alpha1 - np.conj(beta2) * beta1,
+            beta2 * alpha1 + np.conj(alpha2) * beta1)
+
+
 def _compose(alpha: np.ndarray, beta: np.ndarray):
     """Product of the pairs along the last axis, later steps to the left.
 
@@ -158,15 +186,29 @@ def _compose(alpha: np.ndarray, beta: np.ndarray):
     """
     while alpha.shape[-1] > 1:
         even = alpha.shape[-1] // 2 * 2
-        a1, b1 = alpha[..., 0:even:2], beta[..., 0:even:2]
-        a2, b2 = alpha[..., 1:even:2], beta[..., 1:even:2]
-        prod_a = a2 * a1 - np.conj(b2) * b1
-        prod_b = b2 * a1 + np.conj(a2) * b1
+        prod_a, prod_b = _product(alpha[..., 1:even:2], beta[..., 1:even:2],
+                                  alpha[..., 0:even:2], beta[..., 0:even:2])
         if even < alpha.shape[-1]:
             prod_a = np.concatenate((prod_a, alpha[..., even:]), axis=-1)
             prod_b = np.concatenate((prod_b, beta[..., even:]), axis=-1)
         alpha, beta = prod_a, prod_b
     return alpha[..., 0], beta[..., 0]
+
+
+def _running_products(alpha: np.ndarray, beta: np.ndarray):
+    """Pairs of U_k ... U_1 U_0 for every k: an inclusive prefix scan.
+
+    Hillis-Steele: after the pass with shift d, entry k holds the product
+    of the entries k-2d+1 ... k, so ceil(log2(len)) elementwise passes
+    cover everything; no loop over the entries.
+    """
+    shift = 1
+    while shift < len(alpha):
+        head_a, head_b = _product(alpha[shift:], beta[shift:], alpha[:-shift], beta[:-shift])
+        alpha = np.concatenate((alpha[:shift], head_a))
+        beta = np.concatenate((beta[:shift], head_b))
+        shift *= 2
+    return alpha, beta
 
 
 def propagate(
@@ -195,18 +237,14 @@ def propagate(
     beta = np.concatenate((beta, np.zeros(pad))).reshape(chunks, every)
     chunk_alpha, chunk_beta = _compose(alpha, beta)
 
+    # the initial state |w> leads the scan as the first column of a pair, so
+    # entry k of the scan is the state after chunk k (entry 0: the start)
     c_u0 = complex(math.sqrt((n - 1.0) / n))
     c_m0 = complex(1.0 / math.sqrt(n))
-    c_u, c_m = c_u0, c_m0
-    amp_u, amp_m = [c_u], [c_m]
-    for al, be in zip(chunk_alpha.tolist(), chunk_beta.tolist()):
-        c_u, c_m = al * c_u - be.conjugate() * c_m, be * c_u + al.conjugate() * c_m
-        amp_u.append(c_u)
-        amp_m.append(c_m)
+    amp_u, amp_m = _running_products(np.concatenate(([c_u0], chunk_alpha)),
+                                     np.concatenate(([c_m0], chunk_beta)))
 
     ts = nodes[np.r_[0:steps:every, steps]]
-    amp_u = np.asarray(amp_u)
-    amp_m = np.asarray(amp_m)
     a, b, a_dot, b_dot = schedule.couplings(ts)
     lam_p, lam_m = model.eigenvalues(a, b, n)
     theta = model.mixing_angle(a, b, n)
@@ -224,8 +262,7 @@ def propagate(
     # the N-step error is about 1/15 of the difference), plus rounding
     half_alpha, half_beta = _compose(*_magnus_steps(
         schedule, n, nodes[np.r_[0:steps:2, steps]]))
-    half_u = half_alpha * c_u0 - np.conj(half_beta) * c_m0
-    half_m = half_beta * c_u0 + np.conj(half_alpha) * c_m0
+    half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
     _, half_minus = model.adiabatic_populations(theta[-1], half_u, half_m)
     estimate = (max(abs(abs(half_m) ** 2 - p_m[-1]), abs(half_minus - p_minus[-1])) / 15.0
                 + steps * _EPS)

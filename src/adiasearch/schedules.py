@@ -140,6 +140,10 @@ def _require_positive(**kwargs) -> None:
 def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Schedule:
     """Straight ramps a = alpha*(t_f - t)/T, b = alpha*(t - t_i)/T on [0, T]."""
     _require_positive(alpha=alpha, t_total=t_total)
+    # a = alpha*(t_f - t)/T forms alpha*(t_f - t), and a_dot = -alpha/T
+    if not (math.isfinite(alpha * t_total) and math.isfinite(alpha / t_total)):
+        raise InvalidParameter(
+            f"alpha*T or the rate alpha/T overflows: alpha={alpha!r}, T={t_total!r}")
     return Schedule(Strategy.LINEAR, inst.n, float(alpha), float(t_total),
                     (0.0, float(t_total)))
 
@@ -147,7 +151,13 @@ def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Sched
 def local_schedule(alpha: float, epsilon: float, inst: SearchInstance) -> Schedule:
     """Gap-adapted schedule with 2*d(theta)/dt = eps*gap, on [0, 2*sqrt(n-1)/(alpha*eps)]."""
     _require_positive(alpha=alpha, epsilon=epsilon)
-    t_total = 2.0 * math.sqrt(inst.n - 1.0) / (alpha * epsilon)
+    product = alpha * epsilon  # may underflow to 0 or overflow to inf
+    t_total = 2.0 * math.sqrt(inst.n - 1.0) / product if 0.0 < product < math.inf else 0.0
+    # a_dot carries alpha/T
+    if not (0.0 < t_total < math.inf and math.isfinite(alpha / t_total)):
+        raise InvalidParameter(
+            f"the window 2*sqrt(n-1)/(alpha*epsilon) or the rate alpha/T overflows: "
+            f"alpha={alpha!r}, epsilon={epsilon!r}")
     return Schedule(Strategy.LOCAL, inst.n, float(alpha), t_total, (0.0, t_total),
                     epsilon=float(epsilon))
 
@@ -167,6 +177,9 @@ def parallel_schedule(
         raise InvalidParameter(f"shape must be 'tanh' or 'erf', got {shape!r}") from exc
     if not math.isfinite(r * t_par):
         raise InvalidParameter(f"the window r*T overflows: T={t_par!r}, r={r!r}")
+    # f_dot carries 1/T, and a_dot, b_dot carry beta/T
+    if not (math.isfinite(1.0 / t_par) and math.isfinite(beta / t_par)):
+        raise InvalidParameter(f"the rate beta/T overflows: beta={beta!r}, T={t_par!r}")
     half = 0.5 * r * t_par
     return Schedule(Strategy.PARALLEL, inst.n, float(beta), float(t_par),
                     (-half, half), r=float(r), shape=shape)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -133,6 +134,25 @@ class TestRunCommand:
         assert code == 2
         assert "norm drifted by nan" in err
         assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--strategy", "local", "--n", "20", "--epsilon", "1e-310"],
+         "alpha=1.0, epsilon=1e-310"),
+        (["--strategy", "linear", "--n", "20", "--T", "440", "--alpha", "1e308"],
+         "alpha=1e+308, T=440.0"),
+        (["--strategy", "parallel", "--n", "20", "--T", "1e-310", "--r", "8"],
+         "beta=1.0, T=1e-310"),
+    ], ids=["local", "linear", "parallel"])
+    def test_overflowing_schedule_names_its_inputs(self, tmp_path, capsys, argv, names):
+        # refused when the schedule is built, before any coupling is sampled
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_main(["run", *argv, "--output", str(out)], capsys)
+        assert code == 2
+        assert names in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_size_above_max_exits_2(self, tmp_path, capsys):
         code, _, err = run_main(

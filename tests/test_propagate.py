@@ -14,6 +14,9 @@ from adiasearch.model import SearchInstance
 from adiasearch.propagate import (
     DEFAULT_STEPS,
     TRAJECTORY_COLUMNS,
+    _compose,
+    _magnus_steps,
+    _phase_grid,
     propagate,
     propagate_full,
     write_trajectory_csv,
@@ -288,7 +291,10 @@ class TestTrajectoryCsv:
 
 
 class TestAccuracy:
-    @pytest.mark.parametrize("n, tolerance", [(10**4, 1e-9), (10**6, 1e-9), (10**8, 1e-8)])
+    # n = 1e10 and 1e12 guard the coarse-first grid where the window ends
+    # are 1/n narrow
+    @pytest.mark.parametrize("n, tolerance", [
+        (10**4, 1e-9), (10**6, 1e-9), (10**8, 1e-8), (10**10, 1e-8), (10**12, 1e-8)])
     def test_local_large_n_against_closed_form(self, n, tolerance):
         inst = SearchInstance(n)
         _, result = propagate(local_schedule(1.0, EPS_REF, inst), inst)
@@ -409,3 +415,26 @@ class TestTrajectoryContract:
         assert np.all(np.diff(traj.t) > 0)
         assert (traj.t[0], traj.t[-1]) == sched.window
         assert traj.p_m[-1] == result.p_m_final
+
+
+class TestChunkScan:
+    @pytest.mark.parametrize("build", [
+        lambda inst: local_schedule(1.0, EPS_REF, inst),
+        lambda inst: parallel_schedule(1.0, 4.7, inst, r=8.0),
+    ], ids=["local", "parallel"])
+    def test_rows_match_sequential_product(self, inst20, build):
+        # reference: the same chunk products applied one after another
+        sched = build(inst20)
+        traj, _ = propagate(sched, inst20, steps=DEFAULT_STEPS)
+        alpha, beta = _magnus_steps(sched, 20, _phase_grid(sched, 20, DEFAULT_STEPS))
+        every = DEFAULT_STEPS // 2000
+        chunk_alpha, chunk_beta = _compose(alpha.reshape(-1, every), beta.reshape(-1, every))
+        c_u, c_m = complex(math.sqrt(19 / 20)), complex(1 / math.sqrt(20))
+        p_u, p_m = [abs(c_u) ** 2], [abs(c_m) ** 2]
+        for al, be in zip(chunk_alpha.tolist(), chunk_beta.tolist()):
+            c_u, c_m = al * c_u - be.conjugate() * c_m, be * c_u + al.conjugate() * c_m
+            p_u.append(abs(c_u) ** 2)
+            p_m.append(abs(c_m) ** 2)
+        assert len(traj) == len(p_u) == 2001
+        assert np.max(np.abs(traj.p_u - np.array(p_u))) <= 1e-13
+        assert np.max(np.abs(traj.p_m - np.array(p_m))) <= 1e-13

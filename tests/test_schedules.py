@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,8 +45,24 @@ class TestLinearSchedule:
             with pytest.raises(InvalidParameter):
                 linear_schedule(bad["alpha"], bad["t_total"], inst20)
 
+    @pytest.mark.parametrize("alpha, t_total", [(1e308, 440.0), (1.0, 1e-320)])
+    def test_rejects_overflowing_couplings(self, inst20, alpha, t_total):
+        # alpha*T (inside a) or alpha/T (a_dot) is inf; both inputs are named
+        with pytest.raises(InvalidParameter, match=re.escape(f"alpha={alpha!r}, T={t_total!r}")):
+            linear_schedule(alpha, t_total, inst20)
+
 
 class TestLocalSchedule:
+    @pytest.mark.parametrize("alpha, epsilon", [
+        (1.0, 1e-310),     # T is inf
+        (1e300, 1e10),     # alpha*epsilon is inf, so T is 0
+        (1e-200, 1e-200),  # alpha*epsilon underflows to 0
+        (1e200, 0.1),      # T is finite, alpha/T is inf
+    ])
+    def test_rejects_overflowing_window(self, inst20, alpha, epsilon):
+        with pytest.raises(InvalidParameter, match=re.escape(f"alpha={alpha!r}, epsilon={epsilon!r}")):
+            local_schedule(alpha, epsilon, inst20)
+
     def test_duration(self, inst20):
         sched = local_schedule(1.0, EPS_REF, inst20)
         assert sched.t_char == pytest.approx(95.89577675789482, rel=1e-15)
@@ -164,6 +181,12 @@ class TestParallelSchedule:
         # r*T/2 = 4e308 is inf; the message names both inputs
         with pytest.raises(InvalidParameter, match=r"T=1e\+308, r=8\.0"):
             parallel_schedule(1.0, 1e308, inst20, r=8.0)
+
+    @pytest.mark.parametrize("beta, t_par", [(1.0, 1e-310), (1e-100, 1e-310), (1e10, 1e-300)])
+    def test_rejects_overflowing_rate(self, inst20, beta, t_par):
+        # 1/T (in f_dot) or beta/T (in a_dot, b_dot) is inf
+        with pytest.raises(InvalidParameter, match=re.escape(f"beta={beta!r}, T={t_par!r}")):
+            parallel_schedule(beta, t_par, inst20, r=8.0)
 
 
 class TestDerivativeConsistency:
