@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import model
 from .errors import InvalidParameter
-from .schedules import Schedule, Strategy, extremum
+from .schedules import Schedule, Shape, Strategy
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,20 @@ def adiabaticity_check(
 ) -> AdiabaticityReport:
     """Check max theta_dot < eps * min gap / 2 over the window.
 
-    `epsilon` defaults to the local schedule's own.  Extremes are located by
-    `schedules.extremum` over 1000 samples.  The returned ratio is
-    max_theta_dot / (eps * min_gap / 2); the criterion holds when it is
-    below 1.
+    `epsilon` defaults to the local schedule's own.  Both extremes are
+    closed forms of the schedule's parameters:
+
+    * linear: a*b_dot - a_dot*b = alpha^2/T, and the gap alpha/sqrt(n) is
+      smallest mid-window, so max theta_dot = sqrt(n-1)/T;
+    * local: 2*theta_dot = eps_s*gap, with the gap alpha/sqrt(n) at s = 0
+      and alpha at the window ends, so max theta_dot = eps_s*alpha/2;
+    * parallel: the gap is 2*beta/sqrt(n) throughout, and
+      theta_dot = sqrt(n-1)*F_dot / (2*sqrt(n)*sqrt(1 - F^2 (n-1)/n))
+      peaks at F = 0, mid-window, where F_dot = F'(0)/T_par (F'(0) = 1 for
+      tanh, 2/sqrt(pi) for erf).
+
+    The returned ratio is max_theta_dot / (eps * min_gap / 2); the
+    criterion holds when it is below 1.
     """
     if epsilon is None:
         epsilon = schedule.epsilon
@@ -116,17 +125,17 @@ def adiabaticity_check(
         raise InvalidParameter("a positive epsilon is required for the check")
 
     n = schedule.n
-
-    def rate(t):
-        a, b, a_dot, b_dot = schedule.couplings(t)
-        return model.coupling_rate(a, b, a_dot, b_dot, n)
-
-    def gap(t):
-        a, b, _, _ = schedule.couplings(t)
-        return model.energy_gap(a, b, n)
-
-    max_rate = extremum(rate, schedule.window, 1000, -1.0)
-    min_gap = extremum(gap, schedule.window, 1000, 1.0)
+    amp = schedule.alpha_or_beta
+    if schedule.kind is Strategy.LINEAR:
+        min_gap = amp / math.sqrt(n)
+        max_rate = math.sqrt(n - 1.0) / schedule.t_char
+    elif schedule.kind is Strategy.LOCAL:
+        min_gap = amp / math.sqrt(n)
+        max_rate = 0.5 * schedule.epsilon * amp
+    else:
+        min_gap = 2.0 * amp / math.sqrt(n)
+        slope = 1.0 if schedule.shape is Shape.TANH else 2.0 / math.sqrt(math.pi)
+        max_rate = math.sqrt(n - 1.0) / (2.0 * math.sqrt(n)) * slope / schedule.t_char
     bound = 0.5 * epsilon * min_gap
     ratio = max_rate / bound
     return AdiabaticityReport(

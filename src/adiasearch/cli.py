@@ -268,6 +268,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
 
     tasks = [(x, _sweep_point_config(args.variable, x, template)) for x in values]
+    if args.variable == "n":
+        # increasing values round to non-decreasing sizes, so a repeat is adjacent
+        for (x, config), (y, next_config) in zip(tasks, tasks[1:]):
+            if config.n == next_config.n:
+                raise InvalidParameter(
+                    f"--values {x!r} and {y!r} both round to n = {config.n}")
     if args.jobs == 1:
         rows = [_sweep_row(task) for task in tasks]
     else:

@@ -25,9 +25,10 @@ solution).  They differ in how the path crosses the avoided crossing:
 
 Cost accounting: cost = a_peak * t_eff, with a_peak the largest value of
 a(t) over the window and t_eff the window length (r*T_par for parallel).
-For the parallel strategy the numeric maximum is beta*sqrt(n/(n-1)) at
-F = -1/sqrt(n-1); `parallel_peak_reference` exposes the alternative closed
-form beta*(n-2)/sqrt(n(n-1)) that the equal-cost bookkeeping
+For the parallel strategy a is concave in F, and its maximum is
+beta*sqrt(n/(n-1)) at F = -1/sqrt(n-1) whenever the window reaches that F;
+`parallel_peak_reference` exposes the alternative closed form
+beta*(n-2)/sqrt(n(n-1)) that the equal-cost bookkeeping
 (`equal_cost_parallel_time`) is built on, and reports surface both.
 """
 
@@ -185,47 +186,25 @@ def parallel_schedule(
                     (-half, half), r=float(r), shape=shape)
 
 
-_ZOOM_GRID = np.linspace(0.0, 1.0, 65)
-
-
-def extremum(fn, window: tuple[float, float], samples: int, sign: float) -> float:
-    """Minimum (sign = 1) or maximum (sign = -1) of fn over the window.
-
-    `fn` maps an array of times to values.  The extremum is located by
-    sampling `samples` uniform points and, when it falls inside, by
-    zooming in: the bracket between the best sample's neighbours is
-    re-sampled at 65 uniform points, and again around the new best one,
-    until it is at most 1e-10 of the window length (about five rounds).
-    The result is the best value seen.
-    """
-    t_i, t_f = window
-    ts = np.linspace(t_i, t_f, samples)
-    values = sign * fn(ts)
-    i = int(np.argmin(values))
-    best = float(values[i])
-    if 0 < i < len(ts) - 1:
-        lo, hi = ts[i - 1], ts[i + 1]
-        # each round narrows the bracket 32-fold; a fixed count always ends
-        rounds = math.ceil(math.log((hi - lo) / (1e-10 * (t_f - t_i)), 32))
-        for _ in range(rounds):
-            ts = lo + (hi - lo) * _ZOOM_GRID
-            values = sign * fn(ts)
-            i = int(np.argmin(values))
-            best = min(best, float(values[i]))
-            i = min(max(i, 1), len(ts) - 2)
-            lo, hi = ts[i - 1], ts[i + 1]
-    return sign * best
-
-
 def cost(schedule: Schedule) -> CostReport:
     """Peak coupling times effective duration.
 
-    a_peak is located by `extremum` over 4097 samples, accurate to 1e-10
-    relative; t_eff is the window length (r*T_par for the parallel
-    strategy).
+    a_peak is the largest a(t) over the window, in closed form.  Linear and
+    local a(t) fall monotonically, so it is a(t_i) = alpha.  Parallel a is
+    concave in F: beta*sqrt(n/(n-1)) when the window's F range holds
+    F* = -1/sqrt(n-1), else the larger end value (n = 2, or n = 3 at r = 1).
+    t_eff is the window length (r*T_par for the parallel strategy).
     """
     t_i, t_f = schedule.window
-    a_peak = extremum(lambda t: schedule.couplings(t)[0], schedule.window, 4097, -1.0)
+    a, b, _, _ = schedule.couplings(np.array([t_i, t_f]))
+    a_peak = float(a.max())
+    if schedule.kind is Strategy.PARALLEL:
+        n, beta = schedule.n, schedule.alpha_or_beta
+        # the symmetric window holds F* when F(t_i) = (b - a)*sqrt(n)/(2 beta)
+        # <= F*.  Not decided from the slope of a at the ends: at large r
+        # tanh(r/2) rounds to 1 and a_dot is 0 at both ends.
+        if (a[0] - b[0]) * math.sqrt(n * (n - 1.0)) >= 2.0 * beta:
+            a_peak = beta * math.sqrt(n / (n - 1.0))
     t_eff = t_f - t_i
     return CostReport(a_peak=a_peak, t_eff=t_eff, cost=a_peak * t_eff)
 
@@ -239,8 +218,8 @@ def equal_cost_gamma(epsilon: float, r: float) -> float:
 def parallel_peak_reference(beta: float, n: int) -> float:
     """Closed-form peak coupling beta*(n-2)/sqrt(n(n-1)) used by the equal-cost bookkeeping.
 
-    Direct maximization of a(t) instead gives beta*sqrt(n/(n-1)); cost()
-    reports that numeric maximum and comparisons surface both values.
+    The maximum of a(t) is instead beta*sqrt(n/(n-1)); cost() reports
+    that peak and comparisons surface both values.
     """
     _require_positive(beta=beta)
     if n < 2:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from adiasearch.analytics import (
     parallel_loss_asymptotic,
 )
 from adiasearch.errors import InvalidParameter
-from adiasearch.model import SearchInstance
+from adiasearch.model import SearchInstance, coupling_rate, energy_gap
 from adiasearch.propagate import propagate
-from adiasearch.schedules import linear_schedule, local_schedule, parallel_schedule
+from adiasearch.schedules import Shape, linear_schedule, local_schedule, parallel_schedule
 
 from conftest import EPS_REF
 
@@ -133,6 +134,39 @@ class TestAdiabaticityCheck:
     def test_requires_epsilon_somewhere(self, inst20):
         with pytest.raises(InvalidParameter):
             adiabaticity_check(linear_schedule(1.0, 10.0, inst20))
+
+    def test_local_rate_at_large_n(self):
+        # 2*theta_dot = eps_s*gap peaks at the window ends, where the gap is alpha
+        n = 10**12
+        report = adiabaticity_check(local_schedule(1.0, EPS_REF, SearchInstance(n)), 0.2)
+        assert report.max_theta_dot == pytest.approx(EPS_REF / 2, rel=1e-12, abs=0.0)
+        assert report.ratio == pytest.approx(math.sqrt(n) * EPS_REF / 0.2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [Shape.TANH, Shape.ERF])
+    @pytest.mark.parametrize("r", [1.0, 8.0, 40.0])
+    def test_parallel_gap_at_largest_n(self, r, shape):
+        n = 2**53
+        sched = parallel_schedule(1.3, 1.0, SearchInstance(n), r=r, shape=shape)
+        report = adiabaticity_check(sched, EPS_REF)
+        assert report.min_gap == pytest.approx(2 * 1.3 / math.sqrt(n), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda inst: linear_schedule(1.3, 440.0, inst), id="linear"),
+        pytest.param(lambda inst: local_schedule(1.3, EPS_REF, inst), id="local"),
+        *[pytest.param(functools.partial(parallel_schedule, 1.3, 2.0, r=r, shape=shape),
+                       id=f"{shape.value}-r{r:g}")
+          for shape in Shape for r in (1.0, 8.0, 40.0)],
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 20, 10**6])
+    def test_against_dense_sample(self, n, build):
+        sched = build(SearchInstance(n))
+        a, b, a_dot, b_dot = sched.couplings(np.linspace(*sched.window, 40001))
+        max_rate = coupling_rate(a, b, a_dot, b_dot, n).max()
+        min_gap = energy_gap(a, b, n).min()
+        report = adiabaticity_check(sched, 0.2)
+        assert report.max_theta_dot == pytest.approx(max_rate, rel=1e-6)
+        assert report.min_gap == pytest.approx(min_gap, rel=1e-6)
+        assert report.ratio == pytest.approx(max_rate / (0.1 * min_gap), rel=1e-6)
 
 
 class TestNumericAgainstClosedForm:

@@ -298,6 +298,17 @@ class TestSweepCommand:
              "--output", str(tmp_path / "s")], capsys)
         assert code == 2 and "increasing" in err
 
+    def test_n_values_must_round_to_distinct_sizes(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["sweep", "--strategy", "local", "--variable", "n", "--epsilon", "0.1",
+             "--values", "10", "10.0000000001", "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "10.0 and 10.0000000001" in err
+        assert runs == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("variable, good, template", [
         ("n", "10", ["--strategy", "local", "--epsilon", "0.1"]),

@@ -11,7 +11,6 @@ from adiasearch.schedules import (
     cost,
     equal_cost_gamma,
     equal_cost_parallel_time,
-    extremum,
     linear_schedule,
     local_schedule,
     parallel_peak_reference,
@@ -262,11 +261,35 @@ class TestCost:
 
     @pytest.mark.parametrize("n", [4, 20, 1000, 10**6])
     def test_extremum_refines_parallel_peak(self, n):
-        # the interior maximum of a(t) sits between samples; the zoom must
-        # close in on beta*sqrt(n/(n-1)) to rounding
+        # the interior maximum of a(t) is beta*sqrt(n/(n-1)) to rounding
         sched = parallel_schedule(1.3, 2.0, SearchInstance(n), r=8.0)
-        peak = extremum(lambda t: sched.couplings(t)[0], sched.window, 4097, -1.0)
+        peak = cost(sched).a_peak
         assert peak == pytest.approx(1.3 * math.sqrt(n / (n - 1)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [10**6, 10**12])
+    def test_parallel_peak_with_flat_window_ends(self, n):
+        # tanh(+-20) rounds to +-1, so a_dot is 0 at both ends; the peak is
+        # still the interior one, not a(t_i)
+        sched = parallel_schedule(1.3, 2.0, SearchInstance(n), r=40.0)
+        assert np.all(sched.couplings(np.array(sched.window))[2] == 0.0)
+        peak = cost(sched).a_peak
+        assert peak == pytest.approx(1.3 * math.sqrt(n / (n - 1)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [Shape.TANH, Shape.ERF])
+    @pytest.mark.parametrize("n, r", [(2, 8.0), (3, 1.0)])
+    def test_parallel_peak_at_window_edge(self, n, r, shape):
+        # the window's F range misses F* = -1/sqrt(n-1): a(t) rises to t_i
+        sched = parallel_schedule(1.3, 2.0, SearchInstance(n), r=r, shape=shape)
+        assert cost(sched).a_peak == float(sched.couplings(sched.window[0])[0])
+
+    @pytest.mark.parametrize("shape", [Shape.TANH, Shape.ERF])
+    @pytest.mark.parametrize("r", [1.0, 8.0, 40.0])
+    @pytest.mark.parametrize("n", [2, 3, 20, 10**6])
+    def test_parallel_peak_against_dense_sample(self, n, r, shape):
+        sched = parallel_schedule(1.3, 2.0, SearchInstance(n), r=r, shape=shape)
+        a = sched.couplings(sample_times(sched, m=40001))[0]
+        assert cost(sched).a_peak == pytest.approx(a.max(), rel=1e-6)
+
 
 class TestEqualCostBookkeeping:
     def test_gamma_values(self):
