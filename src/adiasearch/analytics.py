@@ -17,6 +17,7 @@ onto an exactly solvable constant-gap crossing, giving
 
 with gamma = sqrt(n)/T_par (beta = 1 units).  Window truncation adds an
 exponentially small floor on top, visible in sweeps at large 1/gamma.
+The erf ramp does not follow this law, so it gets no prediction.
 """
 
 from __future__ import annotations
@@ -83,13 +84,13 @@ def parallel_loss_asymptotic(beta: float, t_par: float, n: float) -> float:
 
 
 def loss_prediction(schedule: Schedule) -> LossPrediction | None:
-    """Analytic references for a schedule; None for the linear strategy."""
+    """Analytic references for a schedule; None for linear and the erf ramp."""
     if schedule.kind is Strategy.LOCAL:
         return LossPrediction(
             exact=local_loss_exact(schedule.epsilon, schedule.n),
             asymptotic=local_loss_asymptotic(schedule.epsilon),
         )
-    if schedule.kind is Strategy.PARALLEL:
+    if schedule.kind is Strategy.PARALLEL and schedule.shape is Shape.TANH:
         return LossPrediction(
             exact=None,
             asymptotic=parallel_loss_asymptotic(

@@ -116,8 +116,8 @@ class RunConfig:
         """The parallel window length in units of T (default 8)."""
         return 8.0 if self.r is None else self.r
 
-    def build(self) -> tuple[SearchInstance, Schedule]:
-        """Validate the config against its strategy and build the schedule."""
+    def build(self) -> Schedule:
+        """Validate the config against its strategy and build its schedule."""
         if self.n < 2:
             raise InvalidParameter(f"--n must be at least 2, got {self.n}")
         if self.steps < MIN_STEPS:
@@ -140,13 +140,13 @@ class RunConfig:
             shape = Shape(self.shape) if self.shape is not None else Shape.TANH
             schedule = schedules.parallel_schedule(
                 self.scale, self.T, inst, r=self.window_r, shape=shape)
-        return inst, schedule
+        return schedule
 
 
 def _propagate(config: RunConfig) -> tuple[Schedule, Trajectory, RunResult]:
     """Build the config's schedule and propagate it at the config's step count."""
-    inst, schedule = config.build()
-    trajectory, result = propagate(schedule, inst, steps=config.steps)
+    schedule = config.build()
+    trajectory, result = propagate(schedule, steps=config.steps)
     return schedule, trajectory, result
 
 
@@ -268,12 +268,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
 
     tasks = [(x, _sweep_point_config(args.variable, x, template)) for x in values]
-    if args.variable == "n":
-        # increasing values round to non-decreasing sizes, so a repeat is adjacent
-        for (x, config), (y, next_config) in zip(tasks, tasks[1:]):
-            if config.n == next_config.n:
-                raise InvalidParameter(
-                    f"--values {x!r} and {y!r} both round to n = {config.n}")
+    # increasing values give non-decreasing sizes and printed x: a repeat is adjacent
+    for (x, config), (y, next_config) in zip(tasks, tasks[1:]):
+        if args.variable == "n" and config.n == next_config.n:
+            raise InvalidParameter(f"--values {x!r} and {y!r} both round to n = {config.n}")
+        if f"{x:.12g}" == f"{y:.12g}":
+            raise InvalidParameter(f"--values {x!r} and {y!r} both print as x = {x:.12g}")
     if args.jobs == 1:
         rows = [_sweep_row(task) for task in tasks]
     else:
@@ -357,15 +357,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             RunConfig("parallel", n=n, marked=marked, T=0.6 * math.sqrt(n), r=8.0,
                       steps=args.steps),
         ]
-    insts, batch = zip(*(config.build() for config in configs))
+    batch = [config.build() for config in configs]
     if args.full_steps < MIN_STEPS:
         raise InvalidParameter(
             f"--full-steps must be at least {MIN_STEPS}, got {args.full_steps}")
     # one oracle call for every entry; its guards run before any propagation
-    fulls = propagate_full(batch, insts, steps=args.full_steps)
+    fulls = propagate_full(batch, steps=args.full_steps)
     entries = []
-    for config, schedule, inst, full in zip(configs, batch, insts, fulls):
-        _, reduced = propagate(schedule, inst, steps=args.steps)
+    for config, schedule, full in zip(configs, batch, fulls):
+        _, reduced = propagate(schedule, steps=args.steps)
         entries.append({
             "n": config.n,
             "marked": config.marked,

@@ -23,17 +23,18 @@ other one give a half-resolution run, and the difference, divided by
 `propagate_full` is an independent cross-check that never builds the
 two-level reduction: it integrates the full n-dimensional Schrodinger
 equation with classic RK4, applying H through its rank-two factors
-(H psi = a <w|psi> |w> + b psi_m e_m, O(n) per product).  It takes a
-batch of (schedule, instance) rows, concatenates their states into one
-flat vector and advances all of them in one loop over the steps, each
-row with its own window and dt; the guards are per row.  Agreement of
-p_m between the two paths validates the reduction end to end.
+(H psi = a <w|psi> |w> + b psi_m e_m, O(n) per product), with the
+marked index each schedule keeps from its instance.  It takes a batch of
+schedules, one row each, concatenates their states into one flat vector
+and advances all of them in one loop over the steps, each row with its
+own window and dt; the guards are per row.  Agreement of p_m between the
+two paths validates the reduction end to end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .errors import (
     NonUnit,
     OracleSizeExceeded,
 )
-from .model import SearchInstance
 from .schedules import Schedule
 
 DEFAULT_STEPS = 16_000
@@ -64,11 +64,6 @@ _EPS = float(np.finfo(float).eps)
 # steps of `propagate_full` whose couplings are sampled at once; keeps the
 # coefficient arrays small whatever `steps` is
 _FULL_BLOCK = 1000
-
-TRAJECTORY_COLUMNS = (
-    "t", "a", "b", "lambda_plus", "lambda_minus", "theta", "theta_dot",
-    "p_u", "p_m", "p_plus", "p_minus", "norm",
-)
 
 
 @dataclass(frozen=True)
@@ -92,6 +87,10 @@ class Trajectory:
         return len(self.t)
 
 
+# the trajectory.csv header: the Trajectory fields, in order
+TRAJECTORY_COLUMNS = tuple(field.name for field in fields(Trajectory))
+
+
 @dataclass(frozen=True)
 class RunResult:
     """What one propagation measured at the end of the window.
@@ -106,7 +105,7 @@ class RunResult:
     error_estimate: float | None = None
 
 
-def _cumulative_mass(schedule: Schedule, n: int, t: np.ndarray) -> np.ndarray:
+def _cumulative_mass(schedule: Schedule, t: np.ndarray) -> np.ndarray:
     """Grid mass from t[0] to each point of t: the cdf `_phase_grid` inverts.
 
     A cell's mass is its dynamical phase int gap dt (trapezoid), plus four
@@ -114,7 +113,7 @@ def _cumulative_mass(schedule: Schedule, n: int, t: np.ndarray) -> np.ndarray:
     plus the relative change of the gap |d ln gap|.
     """
     a, b, _, _ = schedule.couplings(t)
-    _, delta, omega = model.reduced_terms(a, b, n)
+    _, delta, omega = model.reduced_terms(a, b, schedule.n)
     gap = 2.0 * np.hypot(delta, omega)
     if not np.all(gap > 0.0):
         raise DegeneratePoint("schedule passes through a = b = 0")
@@ -124,7 +123,7 @@ def _cumulative_mass(schedule: Schedule, n: int, t: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(mass)))
 
 
-def _phase_grid(schedule: Schedule, n: int, steps: int) -> np.ndarray:
+def _phase_grid(schedule: Schedule, steps: int) -> np.ndarray:
     """Nodes t_i = t_0 < ... < t_steps = t_f at equal steps of the grid mass.
 
     Each pass sums the mass (`_cumulative_mass`) over a subdivision of the
@@ -142,12 +141,12 @@ def _phase_grid(schedule: Schedule, n: int, steps: int) -> np.ndarray:
     for cells, count in (coarse, coarse, coarse, (2 * steps, steps)):
         fine = np.interp(np.linspace(0.0, len(nodes) - 1.0, cells + 1),
                          np.arange(len(nodes)), nodes)
-        cdf = _cumulative_mass(schedule, n, fine)
+        cdf = _cumulative_mass(schedule, fine)
         nodes = np.interp(np.linspace(0.0, cdf[-1], count + 1), cdf, fine)
     return nodes
 
 
-def _magnus_steps(schedule: Schedule, n: int, nodes: np.ndarray):
+def _magnus_steps(schedule: Schedule, nodes: np.ndarray):
     """SU(2) pairs (alpha, beta) of the Magnus-4 step between consecutive nodes.
 
     The step exponentiates -i (z sigma_z + x sigma_x + y sigma_y): z and x
@@ -158,7 +157,7 @@ def _magnus_steps(schedule: Schedule, n: int, nodes: np.ndarray):
     mid = nodes[:-1] + 0.5 * h
     a, b, _, _ = schedule.couplings(
         np.concatenate((mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)))
-    _, delta, omega = model.reduced_terms(a, b, n)
+    _, delta, omega = model.reduced_terms(a, b, schedule.n)
     d1, d2 = np.split(delta, 2)
     w1, w2 = np.split(omega, 2)
     z = 0.5 * h * (d1 + d2)
@@ -211,26 +210,20 @@ def _running_products(alpha: np.ndarray, beta: np.ndarray):
     return alpha, beta
 
 
-def propagate(
-    schedule: Schedule,
-    inst: SearchInstance,
-    steps: int = DEFAULT_STEPS,
-) -> tuple[Trajectory, RunResult]:
+def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajectory, RunResult]:
     """Evolve |w> through the schedule window; return (Trajectory, RunResult).
 
-    `steps` Magnus-4 steps (at least `MIN_STEPS`) on the phase grid; the
-    trajectory is sampled every max(1, steps // 2000) steps (about 2000
-    samples) and always includes both endpoints.
+    `steps` Magnus-4 steps (at least `MIN_STEPS`) on the phase grid, at the
+    schedule's own n; the trajectory is sampled every max(1, steps // 2000)
+    steps (about 2000 samples) and always includes both endpoints.
     """
-    if schedule.n != inst.n:
-        raise InvalidParameter(f"schedule built for n={schedule.n}, instance has n={inst.n}")
     if steps < MIN_STEPS:
         raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
     every = max(1, steps // 2000)
 
-    n = inst.n
-    nodes = _phase_grid(schedule, n, steps)
-    alpha, beta = _magnus_steps(schedule, n, nodes)
+    n = schedule.n
+    nodes = _phase_grid(schedule, steps)
+    alpha, beta = _magnus_steps(schedule, nodes)
     chunks = -(-steps // every)
     pad = chunks * every - steps
     alpha = np.concatenate((alpha, np.ones(pad))).reshape(chunks, every)
@@ -260,8 +253,7 @@ def propagate(
 
     # Richardson estimate from the same nodes at half the steps (order 4:
     # the N-step error is about 1/15 of the difference), plus rounding
-    half_alpha, half_beta = _compose(*_magnus_steps(
-        schedule, n, nodes[np.r_[0:steps:2, steps]]))
+    half_alpha, half_beta = _compose(*_magnus_steps(schedule, nodes[np.r_[0:steps:2, steps]]))
     half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
     _, half_minus = model.adiabatic_populations(theta[-1], half_u, half_m)
     estimate = (max(abs(abs(half_m) ** 2 - p_m[-1]), abs(half_minus - p_minus[-1])) / 15.0
@@ -283,45 +275,36 @@ DEFAULT_FULL_STEPS = 30_000
 ORACLE_CAP = 512
 
 
-def propagate_full(
-    schedules: list[Schedule],
-    insts: list[SearchInstance],
-    steps: int = DEFAULT_FULL_STEPS,
-) -> list[RunResult]:
-    """Full n-dimensional RK4 cross-check of a batch of rows; one RunResult each.
+def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -> list[RunResult]:
+    """Full n-dimensional RK4 cross-check of a batch of schedules; one RunResult each.
 
-    Row i propagates schedules[i] on insts[i] over its own window with its
-    own dt = window / steps.  The rows' states are concatenated into one
-    flat vector, and one loop over the steps advances them all.  H is
-    applied through its rank-two factors on each row's own slice, never
-    through the two-level reduction: H psi = a <w|psi> |w> + b psi_m e_m,
-    where <w|psi> |w> puts the slice's sum divided by n on every entry.
+    Row i propagates schedules[i] at its own n and marked index, over its
+    own window with its own dt = window / steps.  The rows' states are
+    concatenated into one flat vector, and one loop over the steps
+    advances them all.  H is applied through its rank-two factors on each
+    row's own slice, never through the two-level reduction:
+    H psi = a <w|psi> |w> + b psi_m e_m, where <w|psi> |w> puts the
+    slice's sum divided by n on every entry.
 
-    Every guard is checked before any stepping: a batch that is empty or
-    whose lists differ in length, `steps` below `MIN_STEPS`, and, per row, a
-    schedule built for another n (InvalidParameter) or n above `ORACLE_CAP`
-    (OracleSizeExceeded).  After stepping, NonUnit names the first row
-    whose own norm the (non-symplectic) integrator drifted beyond 1e-7.
+    Every guard is checked before any stepping: an empty batch or `steps`
+    below `MIN_STEPS` (InvalidParameter), and a row with n above
+    `ORACLE_CAP` (OracleSizeExceeded).  After stepping, NonUnit names the
+    first row whose own norm the (non-symplectic) integrator drifted
+    beyond 1e-7.
     """
-    if len(schedules) != len(insts):
-        raise InvalidParameter(
-            f"batch has {len(schedules)} schedules but {len(insts)} instances")
     if not schedules:
         raise InvalidParameter("batch must hold at least one row")
     if steps < MIN_STEPS:
         raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
-    for row, (schedule, inst) in enumerate(zip(schedules, insts)):
-        if schedule.n != inst.n:
-            raise InvalidParameter(
-                f"row {row}: schedule built for n={schedule.n}, instance has n={inst.n}")
-        if inst.n > ORACLE_CAP:
+    for row, schedule in enumerate(schedules):
+        if schedule.n > ORACLE_CAP:
             raise OracleSizeExceeded(
-                f"row {row}: n={inst.n} exceeds the full-propagation cap {ORACLE_CAP}")
+                f"row {row}: n={schedule.n} exceeds the full-propagation cap {ORACLE_CAP}")
 
-    sizes = np.array([inst.n for inst in insts])
+    sizes = np.array([schedule.n for schedule in schedules])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    row_of = np.repeat(np.arange(len(insts)), sizes)
-    marked = starts + [inst.marked for inst in insts]
+    row_of = np.repeat(np.arange(len(schedules)), sizes)
+    marked = starts + [schedule.marked for schedule in schedules]
     psi = np.repeat(1.0 / np.sqrt(sizes), sizes).astype(complex)
 
     windows = np.array([schedule.window for schedule in schedules])
@@ -336,7 +319,7 @@ def propagate_full(
         out[marked] += mb * state[marked]
         return out
 
-    a = np.empty((2 * _FULL_BLOCK + 1, len(insts)))
+    a = np.empty((2 * _FULL_BLOCK + 1, len(schedules)))
     b = np.empty_like(a)
     for first in range(0, steps, _FULL_BLOCK):
         block = min(_FULL_BLOCK, steps - first)
@@ -356,14 +339,14 @@ def propagate_full(
             psi = psi + sixth_dt * (k1 + 2.0 * (k2 + k3) + k4)
 
     results = []
-    for row, (schedule, inst) in enumerate(zip(schedules, insts)):
-        n = inst.n
+    for row, schedule in enumerate(schedules):
+        n = schedule.n
         state = psi[starts[row]:starts[row] + n]
         drift = abs(float(np.linalg.norm(state)) - 1.0)
         if not drift <= 1e-7:  # a NaN norm fails too
             raise NonUnit(f"row {row} (n={n}, {schedule.kind.value}): norm drifted "
                           f"by {drift:.3e} during full propagation")
-        c_m = state[inst.marked]
+        c_m = state[schedule.marked]
         c_u = (state.sum() - c_m) / math.sqrt(n - 1.0)
         a_f, b_f, _, _ = schedule.couplings(schedule.window[1])
         _, p_minus = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)

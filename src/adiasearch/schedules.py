@@ -70,14 +70,17 @@ class CostReport:
 class Schedule:
     """One concrete coupling schedule over a finite time window.
 
-    `t_char` is the characteristic time of the kind: the total duration for
-    linear and local, the ramp time T_par for parallel (whose window is
-    r*T_par long).  `epsilon` is the defining adiabaticity parameter of a
-    local schedule and None for the other kinds.
+    `n` and `marked` are those of the instance it was built for; only the
+    full-space oracle reads `marked`.  `t_char` is the characteristic time
+    of the kind: the total duration for linear and local, the ramp time
+    T_par for parallel (whose window is r*T_par long).  `epsilon` is the
+    defining adiabaticity parameter of a local schedule and None for the
+    other kinds.
     """
 
     kind: Strategy
     n: int
+    marked: int
     alpha_or_beta: float
     t_char: float
     window: tuple[float, float]
@@ -132,6 +135,14 @@ class Schedule:
         return a, b, a_dot, b_dot
 
 
+# The kernels square a coupling (gap**2 in model.coupling_rate), a coupling
+# times a rate (a*b_dot there) and a step's phase (z*z in
+# propagate._magnus_steps), each at most ~2x the scale, its rate or its phase
+# over the window.  Bounding those keeps every square, and the Magnus sum of
+# three, finite.
+_KERNEL_BOUND = math.sqrt(np.finfo(float).max) / 4.0
+
+
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -141,11 +152,12 @@ def _require_positive(**kwargs) -> None:
 def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Schedule:
     """Straight ramps a = alpha*(t_f - t)/T, b = alpha*(t - t_i)/T on [0, T]."""
     _require_positive(alpha=alpha, t_total=t_total)
-    # a = alpha*(t_f - t)/T forms alpha*(t_f - t), and a_dot = -alpha/T
-    if not (math.isfinite(alpha * t_total) and math.isfinite(alpha / t_total)):
+    # a_dot = -alpha/T, and the phase grows to about alpha*T
+    if not max(alpha, alpha * t_total, alpha / t_total) <= _KERNEL_BOUND:
         raise InvalidParameter(
-            f"alpha*T or the rate alpha/T overflows: alpha={alpha!r}, T={t_total!r}")
-    return Schedule(Strategy.LINEAR, inst.n, float(alpha), float(t_total),
+            f"alpha, the phase alpha*T or the rate alpha/T exceeds {_KERNEL_BOUND:.3g}: "
+            f"alpha={alpha!r}, T={t_total!r}")
+    return Schedule(Strategy.LINEAR, inst.n, inst.marked, float(alpha), float(t_total),
                     (0.0, float(t_total)))
 
 
@@ -154,13 +166,14 @@ def local_schedule(alpha: float, epsilon: float, inst: SearchInstance) -> Schedu
     _require_positive(alpha=alpha, epsilon=epsilon)
     product = alpha * epsilon  # may underflow to 0 or overflow to inf
     t_total = 2.0 * math.sqrt(inst.n - 1.0) / product if 0.0 < product < math.inf else 0.0
-    # a_dot carries alpha/T
-    if not (0.0 < t_total < math.inf and math.isfinite(alpha / t_total)):
+    # a_dot peaks at alpha*n/T, at the window ends
+    if not (0.0 < t_total < math.inf
+            and max(alpha, alpha * inst.n / t_total) <= _KERNEL_BOUND):
         raise InvalidParameter(
-            f"the window 2*sqrt(n-1)/(alpha*epsilon) or the rate alpha/T overflows: "
-            f"alpha={alpha!r}, epsilon={epsilon!r}")
-    return Schedule(Strategy.LOCAL, inst.n, float(alpha), t_total, (0.0, t_total),
-                    epsilon=float(epsilon))
+            f"the window 2*sqrt(n-1)/(alpha*epsilon) overflows, or alpha or the rate "
+            f"alpha*n/T exceeds {_KERNEL_BOUND:.3g}: alpha={alpha!r}, epsilon={epsilon!r}")
+    return Schedule(Strategy.LOCAL, inst.n, inst.marked, float(alpha), t_total,
+                    (0.0, t_total), epsilon=float(epsilon))
 
 
 def parallel_schedule(
@@ -178,11 +191,13 @@ def parallel_schedule(
         raise InvalidParameter(f"shape must be 'tanh' or 'erf', got {shape!r}") from exc
     if not math.isfinite(r * t_par):
         raise InvalidParameter(f"the window r*T overflows: T={t_par!r}, r={r!r}")
-    # f_dot carries 1/T, and a_dot, b_dot carry beta/T
-    if not (math.isfinite(1.0 / t_par) and math.isfinite(beta / t_par)):
-        raise InvalidParameter(f"the rate beta/T overflows: beta={beta!r}, T={t_par!r}")
+    # f_dot carries 1/T, a_dot and b_dot beta/T, and the phase stays below beta*r*T
+    if not max(1.0 / t_par, beta, beta / t_par, beta * r * t_par) <= _KERNEL_BOUND:
+        raise InvalidParameter(
+            f"1/T, beta, the rate beta/T or the phase bound beta*r*T exceeds "
+            f"{_KERNEL_BOUND:.3g}: beta={beta!r}, T={t_par!r}, r={r!r}")
     half = 0.5 * r * t_par
-    return Schedule(Strategy.PARALLEL, inst.n, float(beta), float(t_par),
+    return Schedule(Strategy.PARALLEL, inst.n, inst.marked, float(beta), float(t_par),
                     (-half, half), r=float(r), shape=shape)
 
 
@@ -227,16 +242,16 @@ def parallel_peak_reference(beta: float, n: int) -> float:
     return beta * (n - 2.0) / math.sqrt(n * (n - 1.0))
 
 
-def equal_cost_parallel_time(epsilon: float, r: float, n: int, beta: float = 1.0) -> float:
-    """Ramp time T_par = 2(n-1)sqrt(n) / ((n-2) eps beta r) matching the local cost.
+def equal_cost_parallel_time(epsilon: float, r: float, n: int) -> float:
+    """Ramp time T_par = 2(n-1)sqrt(n) / ((n-2) eps r) matching the local cost at beta = 1.
 
     The matching uses the closed-form peak `parallel_peak_reference`, so
     peak_reference * r * T_par = 2*sqrt(n-1)/eps exactly.  Undefined at
     n = 2, where the reference peak vanishes.
     """
-    _require_positive(epsilon=epsilon, r=r, beta=beta)
+    _require_positive(epsilon=epsilon, r=r)
     if n < 2:
         raise InvalidParameter(f"database size must be >= 2, got n={n}")
     if n == 2:
         raise ExactDegenerateN("equal-cost matching is undefined at n = 2")
-    return 2.0 * (n - 1.0) * math.sqrt(n) / ((n - 2.0) * epsilon * beta * r)
+    return 2.0 * (n - 1.0) * math.sqrt(n) / ((n - 2.0) * epsilon * r)

@@ -46,11 +46,11 @@ class TimedRun:
     seconds: float
 
 
-def _execute(schedule, inst):
+def _execute(schedule):
     t0 = time.perf_counter()
-    trajectory, result = propagate(schedule, inst, steps=BASE_STEPS)
+    trajectory, result = propagate(schedule, steps=BASE_STEPS)
     seconds = time.perf_counter() - t0
-    _, fine = propagate(schedule, inst, steps=2 * BASE_STEPS)
+    _, fine = propagate(schedule, steps=2 * BASE_STEPS)
     return TimedRun(schedule, trajectory, result, fine.p_loss, seconds)
 
 
@@ -58,29 +58,26 @@ def _execute(schedule, inst):
 def runs():
     out = {}
     inst20 = SearchInstance(20)
-    out["local_ref"] = _execute(local_schedule(1.0, EPS_REF, inst20), inst20)
-    out["parallel_ref"] = _execute(
-        parallel_schedule(1.0, 4.7, inst20, r=8.0), inst20)
+    out["local_ref"] = _execute(local_schedule(1.0, EPS_REF, inst20))
+    out["parallel_ref"] = _execute(parallel_schedule(1.0, 4.7, inst20, r=8.0))
 
     for x in INV_GAMMA_GRID:
         out[f"decay_r12@{x:.4f}"] = _execute(
-            parallel_schedule(1.0, x * math.sqrt(20), inst20, r=12.0), inst20)
+            parallel_schedule(1.0, x * math.sqrt(20), inst20, r=12.0))
     for x in FLOOR_POINTS:
         slow = f"decay_r12@{x:.4f}"
         if slow not in out:
             out[slow] = _execute(
-                parallel_schedule(1.0, x * math.sqrt(20), inst20, r=12.0),
-                inst20)
+                parallel_schedule(1.0, x * math.sqrt(20), inst20, r=12.0))
         out[f"decay_r08@{x:.4f}"] = _execute(
-            parallel_schedule(1.0, x * math.sqrt(20), inst20, r=8.0), inst20)
+            parallel_schedule(1.0, x * math.sqrt(20), inst20, r=8.0))
 
     gamma = equal_cost_gamma(EPS_REF, 12.0)
     for n in SIZE_GRID:
         inst = SearchInstance(n)
-        out[f"scaling_local@{n}"] = _execute(
-            local_schedule(1.0, EPS_REF, inst), inst)
+        out[f"scaling_local@{n}"] = _execute(local_schedule(1.0, EPS_REF, inst))
         out[f"scaling_par@{n}"] = _execute(
-            parallel_schedule(1.0, math.sqrt(n) / gamma, inst, r=12.0), inst)
+            parallel_schedule(1.0, math.sqrt(n) / gamma, inst, r=12.0))
     return out
 
 

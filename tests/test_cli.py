@@ -8,7 +8,6 @@ from adiasearch import analytics, cli, schedules
 from adiasearch.analytics import local_loss_exact
 from adiasearch.cli import RunConfig, main
 from adiasearch.errors import InvalidParameter
-from adiasearch.model import SearchInstance
 from adiasearch.schedules import Strategy
 
 from conftest import EPS_REF
@@ -72,8 +71,8 @@ class TestRunConfig:
         assert str(info.value) == f"--{field} does not apply to the {strategy} strategy"
 
     def test_build_defaults(self):
-        inst, sched = RunConfig(strategy="parallel", n=20, T=2.0).build()
-        assert inst == SearchInstance(20)
+        sched = RunConfig(strategy="parallel", n=20, marked=3, T=2.0).build()
+        assert (sched.n, sched.marked) == (20, 3)
         assert sched.kind is Strategy.PARALLEL
         assert sched.alpha_or_beta == 1.0
         assert sched.r == 8.0
@@ -142,7 +141,17 @@ class TestRunCommand:
          "alpha=1e+308, T=440.0"),
         (["--strategy", "parallel", "--n", "20", "--T", "1e-310", "--r", "8"],
          "beta=1.0, T=1e-310"),
-    ], ids=["local", "linear", "parallel"])
+        # beyond what gap**2, a*b_dot or the Magnus z*z can square
+        (["--strategy", "linear", "--n", "20", "--T", "1", "--alpha", "1e200"],
+         "alpha=1e+200, T=1.0"),
+        (["--strategy", "linear", "--n", "20", "--T", "1e150", "--alpha", "1e10"],
+         "alpha=10000000000.0, T=1e+150"),
+        (["--strategy", "local", "--n", "20", "--epsilon", "1e-10", "--alpha", "1e155"],
+         "alpha=1e+155, epsilon=1e-10"),
+        (["--strategy", "parallel", "--n", "20", "--T", "4.7", "--r", "8", "--beta", "1e200"],
+         "beta=1e+200, T=4.7, r=8.0"),
+    ], ids=["local", "linear", "parallel",
+            "linear-scale", "linear-phase", "local-scale", "parallel-scale"])
     def test_overflowing_schedule_names_its_inputs(self, tmp_path, capsys, argv, names):
         # refused when the schedule is built, before any coupling is sampled
         out = tmp_path / "out"
@@ -306,6 +315,25 @@ class TestSweepCommand:
              "--values", "10", "10.0000000001", "--output", str(tmp_path)], capsys)
         assert code == 2
         assert "10.0 and 10.0000000001" in err
+        assert runs == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("variable, values, template", [
+        ("epsilon", ["0.1", "0.1000000000001"], ["--strategy", "local", "--n", "20"]),
+        ("inv_gamma", ["2", "2.0000000000001"],
+         ["--strategy", "parallel", "--n", "20", "--r", "12"]),
+        ("n", ["1e12", "1000000000001"], ["--strategy", "local", "--epsilon", "0.1"]),
+    ], ids=["epsilon", "inv_gamma", "n"])
+    def test_values_must_print_distinct_x(self, tmp_path, capsys, monkeypatch,
+                                          variable, values, template):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["sweep", "--variable", variable, "--values", *values, *template,
+             "--output", str(tmp_path)], capsys)
+        assert code == 2
+        first, second = (repr(float(v)) for v in values)
+        assert f"--values {first} and {second} both print as x = " in err
         assert runs == []
         assert not (tmp_path / "sweep.csv").exists()
 

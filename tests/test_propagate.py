@@ -35,6 +35,7 @@ class FrozenSchedule:
     """Duck-typed stand-in holding the couplings constant in time."""
 
     kind = Strategy.LINEAR
+    marked = 0
 
     def __init__(self, a, b, n, t_total=10.0):
         self._a = a
@@ -57,8 +58,7 @@ class TestStationaryEvolution:
     def test_reduced_populations_static(self):
         # |w> is an eigenstate of the frozen generator, so the upper-branch
         # weight and the basis populations must stay put
-        inst = SearchInstance(20)
-        traj, result = propagate(FrozenSchedule(1.0, 0.0, 20), inst, steps=2000)
+        traj, result = propagate(FrozenSchedule(1.0, 0.0, 20), steps=2000)
         assert np.max(np.abs(traj.p_plus - 1.0)) <= 1e-12
         assert np.max(np.abs(traj.p_u - 19 / 20)) <= 1e-12
         assert np.max(np.abs(traj.p_m - 1 / 20)) <= 1e-12
@@ -66,14 +66,13 @@ class TestStationaryEvolution:
 
     def test_full_static_oracle_off(self):
         # with b = 0 the walk generator never favors the mark
-        inst = SearchInstance(16, marked=3)
-        [result] = propagate_full([FrozenSchedule(1.0, 0.0, 16)], [inst], steps=4000)
+        [result] = propagate_full([FrozenSchedule(1.0, 0.0, 16)], steps=4000)
         assert result.p_m_final == pytest.approx(1 / 16, abs=1e-9)
 
 
 class TestLocalRun:
     def test_final_population_band(self, inst20):
-        _, result = propagate(local_schedule(1.0, EPS_REF, inst20), inst20)
+        _, result = propagate(local_schedule(1.0, EPS_REF, inst20))
         assert abs(result.p_m_final - 0.995) < 1e-3
 
     def test_matches_interference_form_along_the_way(self, inst20):
@@ -81,7 +80,7 @@ class TestLocalRun:
         # instantaneous lower-branch weight with the closed form
         eps = EPS_REF
         sched = local_schedule(1.0, eps, inst20)
-        traj, _ = propagate(sched, inst20, steps=400_000)
+        traj, _ = propagate(sched, steps=400_000)
         nodes, weights = np.polynomial.legendre.leggauss(8)
         t0, t1 = traj.t[:-1], traj.t[1:]
         half = 0.5 * (t1 - t0)
@@ -98,7 +97,7 @@ class TestLocalRun:
         assert np.max(np.abs(traj.p_minus - predicted)) <= 1e-6
 
     def test_loss_has_interference_oscillations(self, inst20):
-        traj, _ = propagate(local_schedule(1.0, EPS_REF, inst20), inst20)
+        traj, _ = propagate(local_schedule(1.0, EPS_REF, inst20))
         p = traj.p_minus
         interior_max = (p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])
         assert int(np.sum(interior_max)) >= 3
@@ -107,32 +106,32 @@ class TestLocalRun:
         results = []
         for m in (0, 7, 19):
             inst = SearchInstance(20, marked=m)
-            _, res = propagate(local_schedule(1.0, 0.2, inst), inst, steps=20_000)
+            _, res = propagate(local_schedule(1.0, 0.2, inst), steps=20_000)
             results.append(res.p_m_final)
         assert max(results) - min(results) <= 1e-15
 
     def test_loss_complements_final_population(self, inst20):
         # oracle coupling vanishes at the end, so |-> coincides with |m>
-        _, res = propagate(local_schedule(1.0, 0.15, inst20), inst20, steps=50_000)
+        _, res = propagate(local_schedule(1.0, 0.15, inst20), steps=50_000)
         assert res.p_loss == pytest.approx(1 - res.p_m_final, abs=1e-9)
 
 
 class TestParallelRun:
     def test_final_population_band(self, inst20):
         sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
-        _, result = propagate(sched, inst20)
+        _, result = propagate(sched)
         assert abs(result.p_m_final - 0.995) < 1e-3
 
     def test_population_transfer_essentially_monotone(self, inst20):
         sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
-        traj, _ = propagate(sched, inst20)
+        traj, _ = propagate(sched)
         assert np.min(np.diff(traj.p_m)) > -1e-3
 
 
 @pytest.fixture(scope="module")
 def run():
     inst = SearchInstance(20)
-    return propagate(local_schedule(1.0, 0.2, inst), inst, steps=20_000)
+    return propagate(local_schedule(1.0, 0.2, inst), steps=20_000)
 
 
 class TestTrajectoryInvariants:
@@ -170,40 +169,36 @@ class TestTrajectoryInvariants:
 
 class TestFullVersusReduced:
     def test_local_small_instance(self):
-        inst = SearchInstance(4, marked=2)
-        sched = local_schedule(1.0, 0.2, inst)
-        _, reduced = propagate(sched, inst, steps=60_000)
-        [full] = propagate_full([sched], [inst], steps=30_000)
+        sched = local_schedule(1.0, 0.2, SearchInstance(4, marked=2))
+        _, reduced = propagate(sched, steps=60_000)
+        [full] = propagate_full([sched], steps=30_000)
         assert abs(full.p_m_final - reduced.p_m_final) < 1e-8
 
     def test_parallel_band_from_full(self, inst20):
         sched = parallel_schedule(1.0, 4.7, inst20, r=8.0)
-        [result] = propagate_full([sched], [inst20], steps=50_000)
+        [result] = propagate_full([sched], steps=50_000)
         assert abs(result.p_m_final - 0.995) < 1e-3
 
     def test_marked_item_does_not_matter_full(self):
-        insts = [SearchInstance(12, marked=m) for m in (0, 11)]
-        scheds = [local_schedule(1.0, 0.25, inst) for inst in insts]
-        finals = [r.p_m_final for r in propagate_full(scheds, insts, steps=20_000)]
+        scheds = [local_schedule(1.0, 0.25, SearchInstance(12, marked=m)) for m in (0, 11)]
+        finals = [r.p_m_final for r in propagate_full(scheds, steps=20_000)]
         assert abs(finals[0] - finals[1]) <= 1e-10
 
     def test_size_cap(self):
-        inst = SearchInstance(513)
-        sched = local_schedule(1.0, 0.3, inst)
+        sched = local_schedule(1.0, 0.3, SearchInstance(513))
         with pytest.raises(OracleSizeExceeded, match="n=513 exceeds"):
-            propagate_full([sched], [inst], steps=2000)
+            propagate_full([sched], steps=2000)
 
 
 def _mixed_batch():
     """Linear, local and parallel rows at n = 4, 20, 128 with their own windows."""
-    scheds, insts = [], []
+    scheds = []
     for n, marked in ((4, 3), (20, 7), (128, 100)):
         inst = SearchInstance(n, marked)
         scheds += [linear_schedule(1.0, 40.0 + n / 4, inst),
                    local_schedule(1.0, 0.2, inst),
                    parallel_schedule(1.0, 0.6 * math.sqrt(n), inst, r=8.0)]
-        insts += [inst] * 3
-    return scheds, insts
+    return scheds
 
 
 class TestBatchOracle:
@@ -211,20 +206,17 @@ class TestBatchOracle:
 
     @pytest.fixture(scope="class")
     def alone(self):
-        scheds, insts = _mixed_batch()
-        return [propagate_full([s], [i], steps=self.STEPS)[0] for s, i in zip(scheds, insts)]
+        return [propagate_full([s], steps=self.STEPS)[0] for s in _mixed_batch()]
 
     def test_rows_match_batches_of_one(self, alone):
-        scheds, insts = _mixed_batch()
-        batch = propagate_full(scheds, insts, steps=self.STEPS)
+        batch = propagate_full(_mixed_batch(), steps=self.STEPS)
         assert len(batch) == len(alone) == 9
         for together, single in zip(batch, alone):
             assert abs(together.p_m_final - single.p_m_final) <= 1e-14
             assert abs(together.p_loss - single.p_loss) <= 1e-14
 
     def test_row_order_does_not_matter(self, alone):
-        scheds, insts = _mixed_batch()
-        backwards = propagate_full(scheds[::-1], insts[::-1], steps=self.STEPS)[::-1]
+        backwards = propagate_full(_mixed_batch()[::-1], steps=self.STEPS)[::-1]
         for reversed_row, single in zip(backwards, alone):
             assert abs(reversed_row.p_m_final - single.p_m_final) <= 1e-14
             assert abs(reversed_row.p_loss - single.p_loss) <= 1e-14
@@ -232,52 +224,41 @@ class TestBatchOracle:
     def test_drifting_row_is_named(self):
         scheds = [FrozenSchedule(1.0, 0.0, 16),
                   FrozenSchedule(1.0, 0.0, 16, t_total=1000.0)]
-        insts = [SearchInstance(16, marked=2), SearchInstance(16)]
         with pytest.raises(NonUnit, match=r"row 1 \(n=16, linear\)"):
-            propagate_full(scheds, insts, steps=1000)
+            propagate_full(scheds, steps=1000)
 
-    @pytest.mark.parametrize("case", ["cap", "size", "empty", "lengths"])
+    @pytest.mark.parametrize("case", ["cap", "empty"])
     def test_guards_run_before_stepping(self, case):
         good = FrozenSchedule(1.0, 0.0, 4)
-        scheds, insts, error = {
-            "cap": ([good, FrozenSchedule(1.0, 0.0, 513)],
-                    [SearchInstance(4), SearchInstance(513)], OracleSizeExceeded),
-            "size": ([good, FrozenSchedule(1.0, 0.0, 8)],
-                     [SearchInstance(4), SearchInstance(9)], InvalidParameter),
-            "empty": ([], [], InvalidParameter),
-            "lengths": ([good, good], [SearchInstance(4)], InvalidParameter),
+        scheds, error = {
+            "cap": ([good, FrozenSchedule(1.0, 0.0, 513)], OracleSizeExceeded),
+            "empty": ([], InvalidParameter),
         }[case]
         with pytest.raises(error):
-            propagate_full(scheds, insts, steps=1000)
+            propagate_full(scheds, steps=1000)
         assert good.calls == 0
 
 
 class TestValidation:
     def test_step_floor(self, inst20):
         with pytest.raises(InvalidParameter):
-            propagate(local_schedule(1.0, 0.2, inst20), inst20, steps=500)
-
-    def test_size_mismatch(self, inst20):
-        sched = local_schedule(1.0, 0.2, inst20)
-        with pytest.raises(InvalidParameter):
-            propagate(sched, SearchInstance(21), steps=2000)
+            propagate(local_schedule(1.0, 0.2, inst20), steps=500)
 
     def test_degenerate_schedule_rejected(self, inst20):
         # a = b = 0: the splitting vanishes and the eigenbasis is undefined
         with pytest.raises(DegeneratePoint):
-            propagate(FrozenSchedule(0.0, 0.0, 20), inst20, steps=2000)
+            propagate(FrozenSchedule(0.0, 0.0, 20), steps=2000)
 
     def test_full_norm_drift_rejected(self):
         # RK4 at |H| dt = 1 loses norm on every step, far beyond 1e-7
         with pytest.raises(NonUnit):
-            propagate_full([FrozenSchedule(1.0, 0.0, 16, t_total=1000.0)],
-                           [SearchInstance(16)], steps=1000)
+            propagate_full([FrozenSchedule(1.0, 0.0, 16, t_total=1000.0)], steps=1000)
 
 
 class TestTrajectoryCsv:
     def test_format_contract(self, inst20, tmp_path):
         sched = local_schedule(1.0, 0.3, inst20)
-        traj, _ = propagate(sched, inst20, steps=2000)
+        traj, _ = propagate(sched, steps=2000)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text(encoding="ascii").splitlines()
@@ -297,20 +278,20 @@ class TestAccuracy:
         (10**4, 1e-9), (10**6, 1e-9), (10**8, 1e-8), (10**10, 1e-8), (10**12, 1e-8)])
     def test_local_large_n_against_closed_form(self, n, tolerance):
         inst = SearchInstance(n)
-        _, result = propagate(local_schedule(1.0, EPS_REF, inst), inst)
+        _, result = propagate(local_schedule(1.0, EPS_REF, inst))
         error = abs(result.p_loss - local_loss_exact(EPS_REF, n))
         assert error < tolerance
         assert result.error_estimate >= error
 
     def test_estimate_follows_discretization_error(self, inst20):
         # at 2000 steps the Richardson part dominates the rounding term
-        _, result = propagate(local_schedule(1.0, EPS_REF, inst20), inst20, steps=2000)
+        _, result = propagate(local_schedule(1.0, EPS_REF, inst20), steps=2000)
         error = abs(result.p_loss - local_loss_exact(EPS_REF, 20))
         assert error <= result.error_estimate <= 4.0 * error
 
     def test_parallel_against_mpmath(self, inst20):
         sched = parallel_schedule(1.0, 4.7, inst20, r=12.0)
-        _, result = propagate(sched, inst20)
+        _, result = propagate(sched)
         p_m, p_loss = _mpmath_reference(sched, steps=500)
         for value, reference in ((result.p_m_final, p_m), (result.p_loss, p_loss)):
             assert abs(value - reference) <= 1e-12
@@ -382,7 +363,7 @@ class TestPaperClaim:
     def test_loss_in_band(self, n, inv_gamma):
         inst = SearchInstance(n)
         sched = parallel_schedule(1.0, inv_gamma * math.sqrt(n), inst, r=24.0)
-        _, result = propagate(sched, inst)
+        _, result = propagate(sched)
         ratio = result.p_loss / parallel_loss_asymptotic(1.0, inv_gamma * math.sqrt(n), n)
         assert 0.5 <= ratio <= 2.0
 
@@ -392,11 +373,11 @@ class TestPaperClaim:
         # digits at 4x the steps.  A window of r = 32 puts the floor below
         # sech^2(6 pi) = 1.7e-16.
         inst = SearchInstance(10**6)
-        floor = [propagate(parallel_schedule(1.0, 6000.0, inst, r=24.0), inst,
+        floor = [propagate(parallel_schedule(1.0, 6000.0, inst, r=24.0),
                            steps=steps)[1].p_loss
                  for steps in (DEFAULT_STEPS, 4 * DEFAULT_STEPS)]
         assert abs(floor[1] - floor[0]) <= 1e-4 * floor[0]
-        _, result = propagate(parallel_schedule(1.0, 6000.0, inst, r=32.0), inst)
+        _, result = propagate(parallel_schedule(1.0, 6000.0, inst, r=32.0))
         ratio = result.p_loss / parallel_loss_asymptotic(1.0, 6000.0, 10**6)
         assert 0.5 <= ratio <= 2.0
 
@@ -409,7 +390,7 @@ class TestTrajectoryContract:
     ], ids=["local", "parallel"])
     def test_rows_and_endpoints(self, inst20, build, steps):
         sched = build(inst20)
-        traj, result = propagate(sched, inst20, steps=steps)
+        traj, result = propagate(sched, steps=steps)
         stride = max(1, steps // 2000)
         assert len(traj) == steps // stride + 1 + (1 if steps % stride else 0)
         assert np.all(np.diff(traj.t) > 0)
@@ -425,8 +406,8 @@ class TestChunkScan:
     def test_rows_match_sequential_product(self, inst20, build):
         # reference: the same chunk products applied one after another
         sched = build(inst20)
-        traj, _ = propagate(sched, inst20, steps=DEFAULT_STEPS)
-        alpha, beta = _magnus_steps(sched, 20, _phase_grid(sched, 20, DEFAULT_STEPS))
+        traj, _ = propagate(sched, steps=DEFAULT_STEPS)
+        alpha, beta = _magnus_steps(sched, _phase_grid(sched, DEFAULT_STEPS))
         every = DEFAULT_STEPS // 2000
         chunk_alpha, chunk_beta = _compose(alpha.reshape(-1, every), beta.reshape(-1, every))
         c_u, c_m = complex(math.sqrt(19 / 20)), complex(1 / math.sqrt(20))

@@ -304,9 +304,9 @@ class TestEqualCostBookkeeping:
     def test_reference_cost_identity(self):
         # peak_reference * r * T_par = 2 sqrt(n-1)/eps by construction
         for n in (3, 10, 20, 137):
-            for eps, r, beta in [(0.1, 8.0, 1.0), (0.03, 12.0, 2.5)]:
-                t_par = equal_cost_parallel_time(eps, r, n, beta=beta)
-                lhs = parallel_peak_reference(beta, n) * r * t_par
+            for eps, r in [(0.1, 8.0), (0.03, 12.0)]:
+                t_par = equal_cost_parallel_time(eps, r, n)
+                lhs = parallel_peak_reference(1.0, n) * r * t_par
                 assert lhs == pytest.approx(2 * math.sqrt(n - 1) / eps, rel=1e-12)
 
     def test_peak_reference_value(self):
