@@ -11,7 +11,19 @@ with H_1, H_2 at the Gauss points and the commutator along sigma_y.
 Every step is unitary, so the norm is conserved to rounding.  The steps
 of each ~2000 sampled trajectory chunk are multiplied by pairwise
 halving, and the chunk products by a log-depth prefix scan, both in
-NumPy: no Python loop runs over steps or chunks.
+NumPy.
+
+Steps and grid cells are sampled in blocks of `_BLOCK` = 4096 (whole
+chunks per block in the main run), so no Gauss-point sample or step-pair
+array exceeds 64 KiB: below glibc's default 128 KiB mmap threshold, such
+temporaries are reused from the heap instead of being faulted in again
+on every run.  The only Python loop left runs over these blocks, a
+handful per run; none runs over steps or chunks.  Every elementwise
+result is the one a single block would give, and the cdf and the
+half-resolution product are formed over whole arrays, so the blocks
+change no output bit.  The internal samples read a and b only
+(`Schedule.levels`); the rates (`Schedule.couplings`) are sampled only
+at the ~2001 trajectory rows.
 
 The nodes are not uniform in t: they sit at equal increments of phase,
 rotation and relative gap change (`_phase_grid`, three coarse passes of
@@ -53,6 +65,10 @@ MIN_STEPS = 1000
 # cells of each coarse pass of `_phase_grid`; never more than the last
 # pass's 2*steps, since steps >= MIN_STEPS
 _COARSE_CELLS = 2 * MIN_STEPS
+# steps (or grid cells) sampled at once: the Gauss-point samples and the
+# step pairs of a block stay at or below 64 KiB, under glibc's default
+# 128 KiB mmap threshold, so they are not faulted in afresh on every run
+_BLOCK = 4096
 
 # Gauss-Legendre points of a step sit at its midpoint -/+ sqrt(3)/6 of its
 # length; the Magnus-4 commutator term is sqrt(3)/12 h^2 [A_2, A_1], and
@@ -110,17 +126,23 @@ def _cumulative_mass(schedule: Schedule, t: np.ndarray) -> np.ndarray:
 
     A cell's mass is its dynamical phase int gap dt (trapezoid), plus four
     times the eigenbasis rotation |d theta| = |d atan2(omega, delta)| / 2,
-    plus the relative change of the gap |d ln gap|.
+    plus the relative change of the gap |d ln gap|.  The masses are computed
+    `_BLOCK` cells at a time; one cumsum over all of them makes the cdf.
     """
-    a, b, _, _ = schedule.couplings(t)
-    _, delta, omega = model.reduced_terms(a, b, schedule.n)
-    gap = 2.0 * np.hypot(delta, omega)
-    if not np.all(gap > 0.0):
-        raise DegeneratePoint("schedule passes through a = b = 0")
-    mass = (0.5 * (gap[1:] + gap[:-1]) * np.diff(t)
+    mass = np.empty(len(t))
+    mass[0] = 0.0
+    for first in range(0, len(t) - 1, _BLOCK):
+        points = t[first:first + _BLOCK + 1]
+        a, b = schedule.levels(points)
+        _, delta, omega = model.reduced_terms(a, b, schedule.n)
+        gap = 2.0 * np.hypot(delta, omega)
+        if not np.all(gap > 0.0):
+            raise DegeneratePoint("schedule passes through a = b = 0")
+        mass[first + 1:first + len(points)] = (
+            0.5 * (gap[1:] + gap[:-1]) * np.diff(points)
             + 2.0 * np.abs(np.diff(np.arctan2(omega, delta)))
             + np.abs(np.diff(np.log(gap))))
-    return np.concatenate(([0.0], np.cumsum(mass)))
+    return np.cumsum(mass, out=mass)
 
 
 def _phase_grid(schedule: Schedule, steps: int) -> np.ndarray:
@@ -155,8 +177,7 @@ def _magnus_steps(schedule: Schedule, nodes: np.ndarray):
     """
     h = np.diff(nodes)
     mid = nodes[:-1] + 0.5 * h
-    a, b, _, _ = schedule.couplings(
-        np.concatenate((mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)))
+    a, b = schedule.levels(np.concatenate((mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)))
     _, delta, omega = model.reduced_terms(a, b, schedule.n)
     d1, d2 = np.split(delta, 2)
     w1, w2 = np.split(omega, 2)
@@ -223,19 +244,28 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
 
     n = schedule.n
     nodes = _phase_grid(schedule, steps)
-    alpha, beta = _magnus_steps(schedule, nodes)
     chunks = -(-steps // every)
-    pad = chunks * every - steps
-    alpha = np.concatenate((alpha, np.ones(pad))).reshape(chunks, every)
-    beta = np.concatenate((beta, np.zeros(pad))).reshape(chunks, every)
-    chunk_alpha, chunk_beta = _compose(alpha, beta)
 
     # the initial state |w> leads the scan as the first column of a pair, so
-    # entry k of the scan is the state after chunk k (entry 0: the start)
+    # entry k of the scan is the state after chunk k (entry 0: the start);
+    # the chunk products follow it, whole chunks of steps per block
     c_u0 = complex(math.sqrt((n - 1.0) / n))
     c_m0 = complex(1.0 / math.sqrt(n))
-    amp_u, amp_m = _running_products(np.concatenate(([c_u0], chunk_alpha)),
-                                     np.concatenate(([c_m0], chunk_beta)))
+    scan_alpha = np.empty(chunks + 1, complex)
+    scan_beta = np.empty(chunks + 1, complex)
+    scan_alpha[0], scan_beta[0] = c_u0, c_m0
+    per_block = max(1, _BLOCK // every)
+    for first in range(0, chunks, per_block):
+        count = min(per_block, chunks - first)
+        alpha, beta = _magnus_steps(schedule, nodes[first * every:(first + count) * every + 1])
+        pad = count * every - len(alpha)  # the last chunk may be short
+        if pad:
+            alpha = np.concatenate((alpha, np.ones(pad)))
+            beta = np.concatenate((beta, np.zeros(pad)))
+        (scan_alpha[first + 1:first + count + 1],
+         scan_beta[first + 1:first + count + 1]) = _compose(alpha.reshape(count, every),
+                                                            beta.reshape(count, every))
+    amp_u, amp_m = _running_products(scan_alpha, scan_beta)
 
     ts = nodes[np.r_[0:steps:every, steps]]
     a, b, a_dot, b_dot = schedule.couplings(ts)
@@ -253,7 +283,14 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
 
     # Richardson estimate from the same nodes at half the steps (order 4:
     # the N-step error is about 1/15 of the difference), plus rounding
-    half_alpha, half_beta = _compose(*_magnus_steps(schedule, nodes[np.r_[0:steps:2, steps]]))
+    half_nodes = nodes[np.r_[0:steps:2, steps]]
+    half_alpha = np.empty(len(half_nodes) - 1, complex)
+    half_beta = np.empty_like(half_alpha)
+    for first in range(0, len(half_alpha), _BLOCK):
+        (half_alpha[first:first + _BLOCK],
+         half_beta[first:first + _BLOCK]) = _magnus_steps(
+            schedule, half_nodes[first:first + _BLOCK + 1])
+    half_alpha, half_beta = _compose(half_alpha, half_beta)
     half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
     _, half_minus = model.adiabatic_populations(theta[-1], half_u, half_m)
     estimate = (max(abs(abs(half_m) ** 2 - p_m[-1]), abs(half_minus - p_minus[-1])) / 15.0
@@ -328,7 +365,7 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             grid = windows[row, 0] + nodes * (0.5 * dt[row])
             if first + block == steps:
                 grid[-1] = windows[row, 1]
-            a[:len(nodes), row], b[:len(nodes), row], _, _ = schedule.couplings(grid)
+            a[:len(nodes), row], b[:len(nodes), row] = schedule.levels(grid)
         wa = -1j * a / sizes
         mb = -1j * b
         for j in range(0, 2 * block, 2):

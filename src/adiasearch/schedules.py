@@ -88,51 +88,59 @@ class Schedule:
     r: float | None = None
     shape: Shape | None = None
 
-    def couplings(self, t):
-        """Vectorized (a, b, a_dot, b_dot) at times t (scalar or array)."""
+    def levels(self, t):
+        """Vectorized (a, b) at times t (scalar or array), without the rates."""
         t = np.asarray(t, dtype=float)
         t_i, t_f = self.window
+        amp = self.alpha_or_beta
         if self.kind is Strategy.LINEAR:
             span = t_f - t_i
-            amp = self.alpha_or_beta
-            a = amp * (t_f - t) / span
-            b = amp * (t - t_i) / span
-            a_dot = np.full_like(t, -amp / span)
-            b_dot = np.full_like(t, amp / span)
-            return a, b, a_dot, b_dot
+            return amp * (t_f - t) / span, amp * (t - t_i) / span
+        u, root = self._level_root(t)
         if self.kind is Strategy.LOCAL:
-            alpha = self.alpha_or_beta
-            span = t_f - t_i
-            sqrt_n = math.sqrt(self.n)
-            k = (self.n - 1.0) / self.n
-            s = (2.0 * t - t_i - t_f) / span
-            root = np.sqrt(1.0 - k * s * s)
-            a = 0.5 * alpha * (1.0 - s / (sqrt_n * root))
+            a = 0.5 * amp * (1.0 - u / (math.sqrt(self.n) * root))
             # exact boundary values, not left to rounding
-            a = np.where(s == 1.0, 0.0, a)
-            a = np.where(s == -1.0, alpha, a)
-            a_dot = -(alpha / (sqrt_n * span)) / root**3
-            return a, alpha - a, a_dot, -a_dot
-        beta = self.alpha_or_beta
+            a = np.where(u == 1.0, 0.0, a)
+            a = np.where(u == -1.0, amp, a)
+            return a, amp - a
         sqrt_n = math.sqrt(self.n)
-        k = (self.n - 1.0) / self.n
-        x = t / self.t_char
-        if self.shape is Shape.TANH:
-            f = np.tanh(x)
-            f_dot = (1.0 - f * f) / self.t_char
+        return amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
+
+    def _level_root(self, t):
+        """(u, sqrt(1 - u^2 (n-1)/n)) at t: u = s for local, u = F(t) for parallel."""
+        if self.kind is Strategy.LOCAL:
+            t_i, t_f = self.window
+            u = (2.0 * t - t_i - t_f) / (t_f - t_i)
+        elif self.shape is Shape.TANH:
+            u = np.tanh(t / self.t_char)
         else:
             # deferred: ~0.27 s of import that only the erf profile needs
             from scipy.special import erf
 
-            f = erf(x)
+            u = erf(t / self.t_char)
+        return u, np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
+
+    def couplings(self, t):
+        """Vectorized (a, b, a_dot, b_dot) at times t: `levels` plus the rates."""
+        t = np.asarray(t, dtype=float)
+        a, b = self.levels(t)
+        t_i, t_f = self.window
+        amp = self.alpha_or_beta
+        if self.kind is Strategy.LINEAR:
+            span = t_f - t_i
+            return a, b, np.full_like(t, -amp / span), np.full_like(t, amp / span)
+        sqrt_n = math.sqrt(self.n)
+        u, root = self._level_root(t)
+        if self.kind is Strategy.LOCAL:
+            a_dot = -(amp / (sqrt_n * (t_f - t_i))) / root**3
+            return a, b, a_dot, -a_dot
+        if self.shape is Shape.TANH:
+            f_dot = (1.0 - u * u) / self.t_char
+        else:
+            x = t / self.t_char
             f_dot = (2.0 / math.sqrt(math.pi)) * np.exp(-x * x) / self.t_char
-        root = np.sqrt(1.0 - k * f * f)
-        root_dot = -k * f * f_dot / root
-        a = beta * (root - f / sqrt_n)
-        b = beta * (root + f / sqrt_n)
-        a_dot = beta * (root_dot - f_dot / sqrt_n)
-        b_dot = beta * (root_dot + f_dot / sqrt_n)
-        return a, b, a_dot, b_dot
+        root_dot = -(self.n - 1.0) / self.n * u * f_dot / root
+        return a, b, amp * (root_dot - f_dot / sqrt_n), amp * (root_dot + f_dot / sqrt_n)
 
 
 # The kernels square a coupling (gap**2 in model.coupling_rate), a coupling
@@ -141,12 +149,22 @@ class Schedule:
 # over the window.  Bounding those keeps every square, and the Magnus sum of
 # three, finite.
 _KERNEL_BOUND = math.sqrt(np.finfo(float).max) / 4.0
+# model.coupling_rate divides by gap**2: a minimum gap whose square falls
+# below the smallest normal float leaves 0/0 there
+_GAP_SQUARE_FLOOR = float(np.finfo(float).tiny)
 
 
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _require_gap(min_gap: float, form: str, inputs: str) -> None:
+    if not min_gap * min_gap >= _GAP_SQUARE_FLOOR:
+        raise InvalidParameter(
+            f"the minimum gap {form} = {min_gap:.3g} squares below the smallest normal "
+            f"float {_GAP_SQUARE_FLOOR:.3g}: {inputs}")
 
 
 def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Schedule:
@@ -157,6 +175,7 @@ def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Sched
         raise InvalidParameter(
             f"alpha, the phase alpha*T or the rate alpha/T exceeds {_KERNEL_BOUND:.3g}: "
             f"alpha={alpha!r}, T={t_total!r}")
+    _require_gap(alpha / math.sqrt(inst.n), "alpha/sqrt(n)", f"alpha={alpha!r}, n={inst.n}")
     return Schedule(Strategy.LINEAR, inst.n, inst.marked, float(alpha), float(t_total),
                     (0.0, float(t_total)))
 
@@ -166,12 +185,15 @@ def local_schedule(alpha: float, epsilon: float, inst: SearchInstance) -> Schedu
     _require_positive(alpha=alpha, epsilon=epsilon)
     product = alpha * epsilon  # may underflow to 0 or overflow to inf
     t_total = 2.0 * math.sqrt(inst.n - 1.0) / product if 0.0 < product < math.inf else 0.0
-    # a_dot peaks at alpha*n/T, at the window ends
+    # a_dot peaks at alpha*n/T, at the window ends; the phase is alpha*T
+    phase = 2.0 * math.sqrt(inst.n - 1.0) / epsilon
     if not (0.0 < t_total < math.inf
-            and max(alpha, alpha * inst.n / t_total) <= _KERNEL_BOUND):
+            and max(alpha, phase, alpha * inst.n / t_total) <= _KERNEL_BOUND):
         raise InvalidParameter(
-            f"the window 2*sqrt(n-1)/(alpha*epsilon) overflows, or alpha or the rate "
-            f"alpha*n/T exceeds {_KERNEL_BOUND:.3g}: alpha={alpha!r}, epsilon={epsilon!r}")
+            f"the window 2*sqrt(n-1)/(alpha*epsilon) overflows, or alpha, the phase "
+            f"2*sqrt(n-1)/epsilon or the rate alpha*n/T exceeds {_KERNEL_BOUND:.3g}: "
+            f"alpha={alpha!r}, epsilon={epsilon!r}")
+    _require_gap(alpha / math.sqrt(inst.n), "alpha/sqrt(n)", f"alpha={alpha!r}, n={inst.n}")
     return Schedule(Strategy.LOCAL, inst.n, inst.marked, float(alpha), t_total,
                     (0.0, t_total), epsilon=float(epsilon))
 
@@ -196,6 +218,7 @@ def parallel_schedule(
         raise InvalidParameter(
             f"1/T, beta, the rate beta/T or the phase bound beta*r*T exceeds "
             f"{_KERNEL_BOUND:.3g}: beta={beta!r}, T={t_par!r}, r={r!r}")
+    _require_gap(2.0 * beta / math.sqrt(inst.n), "2*beta/sqrt(n)", f"beta={beta!r}, n={inst.n}")
     half = 0.5 * r * t_par
     return Schedule(Strategy.PARALLEL, inst.n, inst.marked, float(beta), float(t_par),
                     (-half, half), r=float(r), shape=shape)

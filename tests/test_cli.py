@@ -124,16 +124,6 @@ class TestRunCommand:
         assert json.loads(stdout)["boundary_residual"] == pytest.approx(
             0.005961181821849737, rel=1e-10)
 
-    def test_nan_state_exits_2(self, tmp_path, capsys):
-        # T = 8.7e300 overflows the step exponentials to NaN
-        with pytest.warns(RuntimeWarning):
-            code, _, err = run_main(
-                ["run", "--strategy", "local", "--n", "20", "--epsilon", "1e-300",
-                 "--output", str(tmp_path)], capsys)
-        assert code == 2
-        assert "norm drifted by nan" in err
-        assert not (tmp_path / "result.json").exists()
-
     @pytest.mark.parametrize("argv, names", [
         (["--strategy", "local", "--n", "20", "--epsilon", "1e-310"],
          "alpha=1.0, epsilon=1e-310"),
@@ -150,10 +140,22 @@ class TestRunCommand:
          "alpha=1e+155, epsilon=1e-10"),
         (["--strategy", "parallel", "--n", "20", "--T", "4.7", "--r", "8", "--beta", "1e200"],
          "beta=1e+200, T=4.7, r=8.0"),
+        # the phase 2*sqrt(n-1)/epsilon = 8.7e300 overflows the step exponentials
+        (["--strategy", "local", "--n", "20", "--epsilon", "1e-300"],
+         "alpha=1.0, epsilon=1e-300"),
+        # a minimum gap whose square underflows: theta_dot would read 0/0
+        (["--strategy", "linear", "--n", "20", "--T", "1", "--alpha", "1e-200"],
+         "alpha=1e-200, n=20"),
+        (["--strategy", "local", "--n", "20", "--epsilon", "0.1", "--alpha", "1e-200"],
+         "alpha=1e-200, n=20"),
+        (["--strategy", "parallel", "--n", "20", "--T", "4.7", "--r", "8", "--beta", "1e-200"],
+         "beta=1e-200, n=20"),
     ], ids=["local", "linear", "parallel",
-            "linear-scale", "linear-phase", "local-scale", "parallel-scale"])
+            "linear-scale", "linear-phase", "local-scale", "parallel-scale",
+            "local-phase", "linear-gap", "local-gap", "parallel-gap"])
     def test_overflowing_schedule_names_its_inputs(self, tmp_path, capsys, argv, names):
-        # refused when the schedule is built, before any coupling is sampled
+        # refused when the schedule is built, before any coupling is sampled;
+        # the gap cases underflow rather than overflow
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

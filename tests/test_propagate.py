@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +48,11 @@ class FrozenSchedule:
         self.t_char = t_total
         self.epsilon = None
         self.calls = 0
+
+    def levels(self, t):
+        self.calls += 1
+        ones = np.ones_like(np.asarray(t, dtype=float))
+        return self._a * ones, self._b * ones
 
     def couplings(self, t):
         self.calls += 1
@@ -249,6 +256,12 @@ class TestValidation:
         with pytest.raises(DegeneratePoint):
             propagate(FrozenSchedule(0.0, 0.0, 20), steps=2000)
 
+    def test_nan_state_rejected(self):
+        # a = 1e200 overflows the step exponentials (z*z) to NaN; the builders
+        # refuse such scales, so only a stand-in schedule reaches the guard
+        with pytest.warns(RuntimeWarning), pytest.raises(NonUnit, match="norm drifted by nan"):
+            propagate(FrozenSchedule(1e200, 0.0, 20), steps=2000)
+
     def test_full_norm_drift_rejected(self):
         # RK4 at |H| dt = 1 loses norm on every step, far beyond 1e-7
         with pytest.raises(NonUnit):
@@ -419,3 +432,34 @@ class TestChunkScan:
         assert len(traj) == len(p_u) == 2001
         assert np.max(np.abs(traj.p_u - np.array(p_u))) <= 1e-13
         assert np.max(np.abs(traj.p_m - np.array(p_m))) <= 1e-13
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("steps", [12_345, 16_000])
+    @pytest.mark.parametrize("build", [
+        lambda inst: local_schedule(1.0, EPS_REF, inst),
+        lambda inst: parallel_schedule(1.0, 0.6 * math.sqrt(inst.n), inst, r=12.0),
+    ], ids=["local", "parallel"])
+    def test_blocked_run_matches_one_block(self, monkeypatch, build, steps):
+        # ragged last block everywhere; at 12,345 steps the last chunk is short too
+        sched = build(SearchInstance(1000))
+        traj, result = propagate(sched, steps=steps)
+        monkeypatch.setattr(importlib.import_module("adiasearch.propagate"), "_BLOCK", 4 * steps)
+        whole_traj, whole_result = propagate(sched, steps=steps)
+        for name in TRAJECTORY_COLUMNS:
+            assert np.array_equal(getattr(traj, name), getattr(whole_traj, name)), name
+        assert result == whole_result
+
+    def test_peak_memory_of_a_default_run(self):
+        # the blocks keep every temporary small: the run peaks below 2 MiB
+        # (3.1 MiB with one array per pass)
+        sched = local_schedule(1.0, EPS_REF, SearchInstance(1000))
+        propagate(sched)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            propagate(sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

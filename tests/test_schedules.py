@@ -188,6 +188,24 @@ class TestParallelSchedule:
             parallel_schedule(beta, t_par, inst20, r=8.0)
 
 
+class TestLevels:
+    @pytest.mark.parametrize("build", [
+        lambda inst: linear_schedule(1.3, 440.0, inst),
+        lambda inst: local_schedule(0.7, EPS_REF, inst),
+        lambda inst: parallel_schedule(1.1, 4.7, inst, r=8.0),
+        lambda inst: parallel_schedule(0.9, 3.1, inst, r=6.5, shape="erf"),
+    ], ids=["linear", "local", "tanh", "erf"])
+    def test_levels_are_the_couplings_without_rates(self, build):
+        sched = build(SearchInstance(1000))
+        t_i, t_f = sched.window
+        for t in (np.linspace(t_i, t_f, 1001), t_i, t_f, 0.3 * t_i + 0.7 * t_f):
+            levels = sched.levels(t)
+            couplings = sched.couplings(t)[:2]
+            for got, want in zip(levels, couplings):
+                assert np.shape(got) == np.shape(t)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("build", [
         lambda inst: linear_schedule(1.0, 10.0, inst),
