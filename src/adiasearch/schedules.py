@@ -114,10 +114,7 @@ class Schedule:
         elif self.shape is Shape.TANH:
             u = np.tanh(t / self.t_char)
         else:
-            # deferred: ~0.27 s of import that only the erf profile needs
-            from scipy.special import erf
-
-            u = erf(t / self.t_char)
+            u = _erf(t / self.t_char)
         return u, np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
 
     def couplings(self, t):
@@ -141,6 +138,60 @@ class Schedule:
             f_dot = (2.0 / math.sqrt(math.pi)) * np.exp(-x * x) / self.t_char
         root_dot = -(self.n - 1.0) / self.n * u * f_dot / root
         return a, b, amp * (root_dot - f_dot / sqrt_n), amp * (root_dot + f_dot / sqrt_n)
+
+
+# Cephes ndtr.c (S. L. Moshier) coefficients, the ones scipy.special.erf
+# runs: erf(x) = x T(x^2)/U(x^2) for |x| <= 1, and 1 - erfc(|x|) with
+# erfc(x) = exp(-x^2) P(x)/Q(x) for 1 < |x| < 8.  U and Q are monic (their
+# leading 1 is left out).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# 1 - erfc(x) rounds to 1 from x = 5.92 on (erfc(6) = 2.2e-17 is below half
+# an ulp of 1), so erf is exactly +-1 from 6 on and Cephes' R/S branch for
+# x >= 8 is never needed
+_ERF_SATURATED = 6.0
+
+
+def _horner(x, coef, monic=False):
+    """Cephes polevl (monic=False) or p1evl (monic=True), in place on one array."""
+    acc = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x):
+    """erf(x) elementwise, Cephes' algorithm and order of operations.
+
+    Each branch is evaluated on its own points only.  Within 1 ulp of
+    scipy.special.erf (bit-equal for |x| <= 1 and |x| >= 6): NumPy's exp
+    may differ from libm's by 1 ulp in 1 < |x| < 6.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.sign(x, out=np.empty_like(x))  # +-1 at saturation; keeps +-0 and NaN
+    small = ax <= 1.0
+    if small.any():
+        xs = x[small]
+        z = xs * xs
+        out[small] = (xs * _horner(z, _ERF_T)) / _horner(z, _ERF_U, monic=True)
+    mid = (ax > 1.0) & (ax < _ERF_SATURATED)
+    if mid.any():
+        xm = ax[mid]
+        erfc = np.exp(-xm * xm)
+        erfc *= _horner(xm, _ERFC_P)
+        erfc /= _horner(xm, _ERFC_Q, monic=True)
+        out[mid] = np.copysign(1.0 - erfc, x[mid])
+    return out[()]
 
 
 # The kernels square a coupling (gap**2 in model.coupling_rate), a coupling
