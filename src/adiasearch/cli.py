@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytics, schedules
 from .errors import AdiabaticSearchError, InvalidParameter
-from .model import SearchInstance
+from .model import SearchInstance, require_integer
 from .propagate import (
     DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
@@ -85,9 +85,8 @@ class RunConfig:
         if self.strategy not in _STRATEGIES:
             raise InvalidParameter(
                 f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
-        self.n = int(self.n)
-        self.marked = int(self.marked)
-        self.steps = int(self.steps)
+        for field in ("n", "marked", "steps"):
+            setattr(self, field, require_integer(field, getattr(self, field)))
         for field in ("alpha", "beta", "epsilon", "T", "r"):
             value = getattr(self, field)
             if value is not None:
@@ -154,7 +153,7 @@ def _summary(schedule: Schedule, result: RunResult) -> dict:
     """The `result.json` keys: the run's populations beside its schedule's cost,
     boundary residual and predicted loss (the exact one where there is one)."""
     report = schedules.cost(schedule)
-    a, b, _, _ = schedule.couplings(schedule.window)
+    a, b = schedule.levels(schedule.window)
     prediction = analytics.loss_prediction(schedule)
     analytic = None if prediction is None else (
         prediction.exact if prediction.exact is not None else prediction.asymptotic)
@@ -279,7 +278,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~13 ms, only --jobs > 1
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # fork starts every worker at the first submit: no more than there are points
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_row, tasks, chunksize=1))
 
     os.makedirs(args.output, exist_ok=True)

@@ -29,6 +29,7 @@ scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,19 @@ from .errors import InvalidParameter
 # largest database size: every integer up to 2**53 is exact as a float, and
 # the kernels take n as a float
 MAX_N = 2**53
+
+
+def require_integer(name: str, value) -> int:
+    """`value` as an int: an int, a NumPy int or an integral float such as 20.0.
+
+    Anything else (20.7, NaN, inf, a string) raises InvalidParameter naming `name`.
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,8 @@ class SearchInstance:
     marked: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "marked", int(self.marked))
+        object.__setattr__(self, "n", require_integer("n", self.n))
+        object.__setattr__(self, "marked", require_integer("marked", self.marked))
         if self.n < 2:
             raise InvalidParameter(f"database size must be >= 2, got n={self.n}")
         if self.n > MAX_N:

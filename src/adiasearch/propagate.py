@@ -13,17 +13,20 @@ of each ~2000 sampled trajectory chunk are multiplied by pairwise
 halving, and the chunk products by a log-depth prefix scan, both in
 NumPy.
 
-Steps and grid cells are sampled in blocks of `_BLOCK` = 4096 (whole
-chunks per block in the main run), so no Gauss-point sample or step-pair
-array exceeds 64 KiB: below glibc's default 128 KiB mmap threshold, such
+Steps and grid cells are sampled in blocks of `_BLOCK` = 4096, so no
+Gauss-point sample or step-pair array exceeds 64 KiB at either
+resolution: below glibc's default 128 KiB mmap threshold, such
 temporaries are reused from the heap instead of being faulted in again
-on every run.  The only Python loop left runs over these blocks, a
-handful per run; none runs over steps or chunks.  Every elementwise
-result is the one a single block would give, and the cdf and the
-half-resolution product are formed over whole arrays, so the blocks
-change no output bit.  The internal samples read a and b only
-(`Schedule.levels`); the rates (`Schedule.couplings`) are sampled only
-at the ~2001 trajectory rows.
+on every run.  The only Python loops left run over these blocks, a
+handful per run; none runs over steps or chunks.  `_magnus_steps` steps
+both runs and returns the product of every `every` steps: the main
+run's trajectory chunks, and the half run's whole blocks, which one
+`_compose` then multiplies.  `_BLOCK` is a power of two, so pairwise
+halving over aligned blocks is a subtree of halving over the whole
+array; identity pads multiply exactly, and the cdf is one cumsum over
+the blocks' cell masses, so the blocks change no output bit.  The
+internal samples read a and b only (`Schedule.levels`); only the ~2001
+trajectory rows call `Schedule.couplings` for the rates.
 
 The nodes are not uniform in t: they sit at equal increments of phase,
 rotation and relative gap change (`_phase_grid`, three coarse passes of
@@ -168,25 +171,39 @@ def _phase_grid(schedule: Schedule, steps: int) -> np.ndarray:
     return nodes
 
 
-def _magnus_steps(schedule: Schedule, nodes: np.ndarray):
-    """SU(2) pairs (alpha, beta) of the Magnus-4 step between consecutive nodes.
+def _magnus_steps(schedule: Schedule, nodes: np.ndarray, every: int):
+    """Pairs (alpha, beta) of the Magnus-4 steps between consecutive nodes,
+    multiplied in runs of `every` steps: one pair per run.
 
     The step exponentiates -i (z sigma_z + x sigma_x + y sigma_y): z and x
     are the step integrals of delta and omega by two-point Gauss, y is the
     commutator term.  U = [[alpha, -conj(beta)], [beta, conj(alpha)]].
+    Steps are sampled and stepped `_BLOCK` at a time, in whole runs (one
+    run per block if a run is longer), and a short last run is padded with
+    identity pairs, which multiply exactly.
     """
-    h = np.diff(nodes)
-    mid = nodes[:-1] + 0.5 * h
-    a, b = schedule.levels(np.concatenate((mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)))
-    _, delta, omega = model.reduced_terms(a, b, schedule.n)
-    d1, d2 = np.split(delta, 2)
-    w1, w2 = np.split(omega, 2)
-    z = 0.5 * h * (d1 + d2)
-    x = 0.5 * h * (w1 + w2)
-    y = _COMMUTATOR * h * h * (d2 * w1 - d1 * w2)
-    r = np.sqrt(z * z + x * x + y * y)
-    sinc = np.sinc(r / np.pi)
-    return np.cos(r) - 1j * sinc * z, sinc * (y - 1j * x)
+    per_block = max(1, _BLOCK // every) * every
+    runs_alpha, runs_beta = [], []
+    for first in range(0, len(nodes) - 1, per_block):
+        block = nodes[first:first + per_block + 1]
+        h = np.diff(block)
+        mid = block[:-1] + 0.5 * h
+        a, b = schedule.levels(np.concatenate((mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)))
+        _, delta, omega = model.reduced_terms(a, b, schedule.n)
+        d1, d2 = np.split(delta, 2)
+        w1, w2 = np.split(omega, 2)
+        z = 0.5 * h * (d1 + d2)
+        x = 0.5 * h * (w1 + w2)
+        y = _COMMUTATOR * h * h * (d2 * w1 - d1 * w2)
+        r = np.sqrt(z * z + x * x + y * y)
+        sinc = np.sinc(r / np.pi)
+        pad = -len(h) % every
+        alpha = np.concatenate((np.cos(r) - 1j * sinc * z, np.ones(pad)))
+        beta = np.concatenate((sinc * (y - 1j * x), np.zeros(pad)))
+        alpha, beta = _compose(alpha.reshape(-1, every), beta.reshape(-1, every))
+        runs_alpha.append(alpha)
+        runs_beta.append(beta)
+    return np.concatenate(runs_alpha), np.concatenate(runs_beta)
 
 
 def _product(alpha2, beta2, alpha1, beta1):
@@ -238,34 +255,20 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
     schedule's own n; the trajectory is sampled every max(1, steps // 2000)
     steps (about 2000 samples) and always includes both endpoints.
     """
+    steps = model.require_integer("steps", steps)
     if steps < MIN_STEPS:
         raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
     every = max(1, steps // 2000)
 
     n = schedule.n
     nodes = _phase_grid(schedule, steps)
-    chunks = -(-steps // every)
-
     # the initial state |w> leads the scan as the first column of a pair, so
-    # entry k of the scan is the state after chunk k (entry 0: the start);
-    # the chunk products follow it, whole chunks of steps per block
+    # entry k of the scan is the state after chunk k (entry 0: the start)
     c_u0 = complex(math.sqrt((n - 1.0) / n))
     c_m0 = complex(1.0 / math.sqrt(n))
-    scan_alpha = np.empty(chunks + 1, complex)
-    scan_beta = np.empty(chunks + 1, complex)
-    scan_alpha[0], scan_beta[0] = c_u0, c_m0
-    per_block = max(1, _BLOCK // every)
-    for first in range(0, chunks, per_block):
-        count = min(per_block, chunks - first)
-        alpha, beta = _magnus_steps(schedule, nodes[first * every:(first + count) * every + 1])
-        pad = count * every - len(alpha)  # the last chunk may be short
-        if pad:
-            alpha = np.concatenate((alpha, np.ones(pad)))
-            beta = np.concatenate((beta, np.zeros(pad)))
-        (scan_alpha[first + 1:first + count + 1],
-         scan_beta[first + 1:first + count + 1]) = _compose(alpha.reshape(count, every),
-                                                            beta.reshape(count, every))
-    amp_u, amp_m = _running_products(scan_alpha, scan_beta)
+    alpha, beta = _magnus_steps(schedule, nodes, every)
+    amp_u, amp_m = _running_products(np.concatenate(([c_u0], alpha)),
+                                     np.concatenate(([c_m0], beta)))
 
     ts = nodes[np.r_[0:steps:every, steps]]
     a, b, a_dot, b_dot = schedule.couplings(ts)
@@ -282,15 +285,10 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
         raise NonUnit(f"norm drifted by {drift:.3e} during propagation")
 
     # Richardson estimate from the same nodes at half the steps (order 4:
-    # the N-step error is about 1/15 of the difference), plus rounding
-    half_nodes = nodes[np.r_[0:steps:2, steps]]
-    half_alpha = np.empty(len(half_nodes) - 1, complex)
-    half_beta = np.empty_like(half_alpha)
-    for first in range(0, len(half_alpha), _BLOCK):
-        (half_alpha[first:first + _BLOCK],
-         half_beta[first:first + _BLOCK]) = _magnus_steps(
-            schedule, half_nodes[first:first + _BLOCK + 1])
-    half_alpha, half_beta = _compose(half_alpha, half_beta)
+    # the N-step error is about 1/15 of the difference), plus rounding.  The
+    # half run is composed per block, then over the block products.
+    half_alpha, half_beta = _compose(*_magnus_steps(
+        schedule, nodes[np.r_[0:steps:2, steps]], _BLOCK))
     half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
     _, half_minus = model.adiabatic_populations(theta[-1], half_u, half_m)
     estimate = (max(abs(abs(half_m) ** 2 - p_m[-1]), abs(half_minus - p_minus[-1])) / 15.0
@@ -331,6 +329,7 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     """
     if not schedules:
         raise InvalidParameter("batch must hold at least one row")
+    steps = model.require_integer("steps", steps)
     if steps < MIN_STEPS:
         raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
     for row, schedule in enumerate(schedules):
@@ -385,7 +384,7 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
                           f"by {drift:.3e} during full propagation")
         c_m = state[schedule.marked]
         c_u = (state.sum() - c_m) / math.sqrt(n - 1.0)
-        a_f, b_f, _, _ = schedule.couplings(schedule.window[1])
+        a_f, b_f = schedule.levels(schedule.window[1])
         _, p_minus = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)
         results.append(RunResult(float(abs(c_m) ** 2), min(1.0, float(p_minus)), drift))
     return results

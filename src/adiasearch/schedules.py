@@ -285,7 +285,7 @@ def cost(schedule: Schedule) -> CostReport:
     t_eff is the window length (r*T_par for the parallel strategy).
     """
     t_i, t_f = schedule.window
-    a, b, _, _ = schedule.couplings(np.array([t_i, t_f]))
+    a, b = schedule.levels(np.array([t_i, t_f]))
     a_peak = float(a.max())
     if schedule.kind is Strategy.PARALLEL:
         n, beta = schedule.n, schedule.alpha_or_beta

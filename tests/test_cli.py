@@ -70,6 +70,18 @@ class TestRunConfig:
             config.build()
         assert str(info.value) == f"--{field} does not apply to the {strategy} strategy"
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 16_000.9), ("n", 20.5), ("marked", 1.5), ("steps", math.nan)])
+    def test_non_integral_counts_rejected_by_name(self, field, value):
+        kwargs = {"n": 20, "epsilon": 0.1, field: value}
+        with pytest.raises(InvalidParameter, match=f"^{field} must be an integer, got "):
+            RunConfig(strategy="local", **kwargs)
+
+    def test_integral_floats_accepted(self):
+        config = RunConfig(strategy="local", n=20.0, marked=3.0, epsilon=0.1, steps=16_000.0)
+        assert (config.n, config.marked, config.steps) == (20, 3, 16_000)
+        assert all(type(v) is int for v in (config.n, config.marked, config.steps))
+
     def test_build_defaults(self):
         sched = RunConfig(strategy="parallel", n=20, marked=3, T=2.0).build()
         assert (sched.n, sched.marked) == (20, 3)
@@ -80,6 +92,26 @@ class TestRunConfig:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("argv, runs", [
+        (["run", "--strategy", "local", "--n", "20", "--epsilon", "0.2"], 1),
+        (["check", "--n-list", "4", "--full-steps", "1000"], 3),
+    ], ids=["run", "check"])
+    def test_rates_sampled_at_trajectory_rows_only(self, tmp_path, capsys, monkeypatch,
+                                                   argv, runs):
+        # the cost, the boundary residual and the oracle's readout read a and b
+        # through Schedule.levels; only each reduced run's 1,001 rows take rates
+        points = []
+        couplings = schedules.Schedule.couplings
+
+        def counted(self, t):
+            points.append(getattr(t, "size", 1))
+            return couplings(self, t)
+
+        monkeypatch.setattr(schedules.Schedule, "couplings", counted)
+        code, _, _ = run_main(argv + ["--steps", "1000", "--output", str(tmp_path)], capsys)
+        assert code in (0, 3)
+        assert points == [1001] * runs
+
     def test_files_and_stdout(self, tmp_path, capsys):
         out = tmp_path / "run1"
         code, stdout, _ = run_main(
@@ -233,6 +265,35 @@ class TestSweepCommand:
             assert code == 0
             outs.append((path / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_jobs_capped_at_the_point_count(self, tmp_path, capsys, monkeypatch):
+        # with fork, a process pool starts all max_workers processes at the
+        # first submit; this stand-in records the count and maps in-process
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        code, _, _ = run_main(
+            ["sweep", "--strategy", "local", "--variable", "epsilon", "--values", "0.2", "0.3",
+             "--n", "20", "--steps", "1000", "--jobs", "500", "--output", str(tmp_path)],
+            capsys)
+        assert code == 0
+        assert sizes == [2]
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
     def test_point_failure_is_per_row(self, tmp_path, capsys):
         # marked index 10 is invalid for n=4 but fine for n=20

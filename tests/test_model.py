@@ -33,6 +33,20 @@ class TestSearchInstance:
         with pytest.raises(InvalidParameter):
             SearchInstance(n, marked)
 
+    @pytest.mark.parametrize("n,marked,field", [
+        (20.7, 0, "n"), (20, 3.9, "marked"), (math.nan, 0, "n"), (math.inf, 0, "n"),
+        (np.float64(20.5), 0, "n"), ("20", 0, "n"),
+    ])
+    def test_rejects_non_integral_by_name(self, n, marked, field):
+        with pytest.raises(InvalidParameter, match=f"^{field} must be an integer, got "):
+            SearchInstance(n, marked)
+
+    def test_accepts_integral_numbers(self):
+        inst = SearchInstance(20.0, np.int64(3))
+        assert inst == SearchInstance(20, 3)
+        assert type(inst.n) is int and type(inst.marked) is int
+        assert SearchInstance(np.float64(1e8), np.uint8(7)) == SearchInstance(10**8, 7)
+
 
 class TestReducedTerms:
     def test_projector_point_n4(self):

@@ -251,6 +251,19 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             propagate(local_schedule(1.0, 0.2, inst20), steps=500)
 
+    @pytest.mark.parametrize("steps", [2000.5, math.nan, math.inf, "2000"])
+    def test_non_integral_steps_rejected_by_name(self, inst20, steps):
+        sched = local_schedule(1.0, 0.2, inst20)
+        with pytest.raises(InvalidParameter, match="^steps must be an integer, got "):
+            propagate(sched, steps)
+        with pytest.raises(InvalidParameter, match="^steps must be an integer, got "):
+            propagate_full([sched], steps)
+
+    def test_integral_float_steps_accepted(self, inst4):
+        sched = local_schedule(1.0, 0.2, inst4)
+        assert propagate(sched, 2000.0)[1] == propagate(sched, 2000)[1]
+        assert propagate_full([sched], 2000.0) == propagate_full([sched], np.int64(2000))
+
     def test_degenerate_schedule_rejected(self, inst20):
         # a = b = 0: the splitting vanishes and the eigenbasis is undefined
         with pytest.raises(DegeneratePoint):
@@ -420,7 +433,7 @@ class TestChunkScan:
         # reference: the same chunk products applied one after another
         sched = build(inst20)
         traj, _ = propagate(sched, steps=DEFAULT_STEPS)
-        alpha, beta = _magnus_steps(sched, _phase_grid(sched, DEFAULT_STEPS))
+        alpha, beta = _magnus_steps(sched, _phase_grid(sched, DEFAULT_STEPS), every=1)
         every = DEFAULT_STEPS // 2000
         chunk_alpha, chunk_beta = _compose(alpha.reshape(-1, every), beta.reshape(-1, every))
         c_u, c_m = complex(math.sqrt(19 / 20)), complex(1 / math.sqrt(20))
@@ -435,13 +448,15 @@ class TestChunkScan:
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("steps", [12_345, 16_000])
+    @pytest.mark.parametrize("steps", [8_193, 12_345, 16_000])
     @pytest.mark.parametrize("build", [
         lambda inst: local_schedule(1.0, EPS_REF, inst),
         lambda inst: parallel_schedule(1.0, 0.6 * math.sqrt(inst.n), inst, r=12.0),
     ], ids=["local", "parallel"])
     def test_blocked_run_matches_one_block(self, monkeypatch, build, steps):
-        # ragged last block everywhere; at 12,345 steps the last chunk is short too
+        # ragged last block everywhere; at 12,345 steps the last chunk is short
+        # too, and at 8,193 the last chunk and the half run's last block hold
+        # one step each (3 and 4,095 identity pads)
         sched = build(SearchInstance(1000))
         traj, result = propagate(sched, steps=steps)
         monkeypatch.setattr(importlib.import_module("adiasearch.propagate"), "_BLOCK", 4 * steps)
