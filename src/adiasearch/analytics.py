@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
+from .model import require_positive
 from .schedules import Schedule, Shape, Strategy
 
 
@@ -60,8 +61,7 @@ def local_loss_exact(epsilon: float, n: float) -> float:
     `n` may be non-integral (> 1): the formula is analytic in n and the
     zero family n = 1 + tan^2(x) is useful in studies.
     """
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = require_positive("epsilon", epsilon)
     if not n > 1:
         raise InvalidParameter(f"n must exceed 1, got {n!r}")
     kappa2 = 1.0 + epsilon * epsilon
@@ -71,15 +71,15 @@ def local_loss_exact(epsilon: float, n: float) -> float:
 
 def local_loss_asymptotic(epsilon: float) -> float:
     """Large-n, small-eps form eps^2 * sin^2(pi/(2 eps))."""
-    if not epsilon > 0:
-        raise InvalidParameter(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = require_positive("epsilon", epsilon)
     return epsilon * epsilon * math.sin(0.5 * math.pi / epsilon) ** 2
 
 
 def parallel_loss_asymptotic(beta: float, t_par: float, n: float) -> float:
     """Constant-gap asymptote sech^2(pi * t_par * beta / sqrt(n))."""
-    if not (beta > 0 and t_par > 0 and n > 1):
-        raise InvalidParameter("need beta > 0, t_par > 0, n > 1")
+    beta, t_par = require_positive("beta", beta), require_positive("t_par", t_par)
+    if not n > 1:
+        raise InvalidParameter(f"n must exceed 1, got {n!r}")
     return _sech2(math.pi * t_par * beta / math.sqrt(n))
 
 
@@ -120,10 +120,7 @@ def adiabaticity_check(
     The returned ratio is max_theta_dot / (eps * min_gap / 2); the
     criterion holds when it is below 1.
     """
-    if epsilon is None:
-        epsilon = schedule.epsilon
-    if epsilon is None or not epsilon > 0:
-        raise InvalidParameter("a positive epsilon is required for the check")
+    epsilon = require_positive("epsilon", schedule.epsilon if epsilon is None else epsilon)
 
     n = schedule.n
     amp = schedule.alpha_or_beta

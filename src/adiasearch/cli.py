@@ -8,7 +8,7 @@ Subcommands:
 * ``check``   reduced vs full-space propagation agreement; ``check.json``
 
 Each subcommand handler takes the parsed arguments and builds every run
-it makes through `RunConfig.build`, so the step floor, the size floor
+it makes through `RunConfig.build`, so the step bounds, the size floor
 and the inputs each strategy takes (`_INPUTS`) are checked in one place.
 
 Outputs are plain CSV/JSON so plotting can happen anywhere; identical
@@ -32,10 +32,11 @@ import numpy as np
 
 from . import analytics, schedules
 from .errors import AdiabaticSearchError, InvalidParameter
-from .model import SearchInstance, require_integer
+from .model import SearchInstance, require_integer, require_positive
 from .propagate import (
     DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
+    MAX_STEPS,
     MIN_STEPS,
     RunResult,
     Trajectory,
@@ -57,6 +58,14 @@ _INPUTS = {
 _SWEPT_FLAG = {"epsilon": "epsilon", "inv_gamma": "T", "n": "n"}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
+
+
+def _require_step_flag(flag: str, steps: int) -> None:
+    # the flag's own bounds, checked before any schedule is built or run
+    if steps < MIN_STEPS:
+        raise InvalidParameter(f"{flag} must be at least {MIN_STEPS}, got {steps}")
+    if steps > MAX_STEPS:
+        raise InvalidParameter(f"{flag} must be at most {MAX_STEPS}, got {steps}")
 
 
 @dataclass
@@ -87,10 +96,6 @@ class RunConfig:
                 f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
         for field in ("n", "marked", "steps"):
             setattr(self, field, require_integer(field, getattr(self, field)))
-        for field in ("alpha", "beta", "epsilon", "T", "r"):
-            value = getattr(self, field)
-            if value is not None:
-                setattr(self, field, float(value))
         if self.shape is not None:
             self.shape = str(self.shape).lower()
             if self.shape not in _SHAPES:
@@ -106,9 +111,7 @@ class RunConfig:
         """
         name = "beta" if self.strategy == Strategy.PARALLEL else "alpha"
         value = getattr(self, name)
-        value = 1.0 if value is None else value
-        schedules._require_positive(**{name: value})
-        return value
+        return require_positive(name, 1.0 if value is None else value)
 
     @property
     def window_r(self) -> float:
@@ -119,9 +122,7 @@ class RunConfig:
         """Validate the config against its strategy and build its schedule."""
         if self.n < 2:
             raise InvalidParameter(f"--n must be at least 2, got {self.n}")
-        if self.steps < MIN_STEPS:
-            raise InvalidParameter(
-                f"--steps must be at least {MIN_STEPS}, got {self.steps}")
+        _require_step_flag("--steps", self.steps)
         inst = SearchInstance(self.n, self.marked)
         takes, required = _INPUTS[self.strategy]
         for field in ("beta", "alpha", "r", "shape", "epsilon", "T"):
@@ -343,9 +344,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise InvalidParameter(f"--n-list values must be at least 2, got {min(args.n_list)}")
     if args.seed < 0:
         raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise InvalidParameter(
-            f"--tolerance must be finite and positive, got {args.tolerance!r}")
+    tolerance = require_positive("--tolerance", args.tolerance)
     rng = np.random.default_rng(args.seed)
     configs = []
     for n in args.n_list:
@@ -358,9 +357,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                       steps=args.steps),
         ]
     batch = [config.build() for config in configs]
-    if args.full_steps < MIN_STEPS:
-        raise InvalidParameter(
-            f"--full-steps must be at least {MIN_STEPS}, got {args.full_steps}")
+    _require_step_flag("--full-steps", args.full_steps)
     # one oracle call for every entry; its guards run before any propagation
     fulls = propagate_full(batch, steps=args.full_steps)
     entries = []
@@ -379,10 +376,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "steps": args.steps,
         "full_steps": args.full_steps,
-        "tolerance": args.tolerance,
+        "tolerance": tolerance,
         "entries": entries,
         "max_delta": max_delta,
-        "pass": bool(max_delta < args.tolerance),
+        "pass": bool(max_delta < tolerance),
     }
     os.makedirs(args.output, exist_ok=True)
     print(_write_json(os.path.join(args.output, "check.json"), report))

@@ -29,6 +29,7 @@ scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -52,6 +53,23 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_positive(name: str, value) -> float:
+    """`value` as a float: a positive finite int, float or NumPy real scalar.
+
+    Anything else (a string, None, NaN, +-inf, 0 or a negative number)
+    raises InvalidParameter naming `name`.  Callers take the returned
+    float, so later arithmetic runs in float64 whatever the scalar type.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number) and number > 0:
+            return number
+    raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,10 @@ from .schedules import Schedule
 DEFAULT_STEPS = 16_000
 # fewest steps any propagation or command accepts
 MIN_STEPS = 1000
+# most steps any propagation accepts: a reduced run's traced peak is ~48
+# bytes per step, almost all of it the phase grid's (2*steps + 1)-point fine
+# pass, so ~192 MiB at this cap
+MAX_STEPS = 2**22
 # cells of each coarse pass of `_phase_grid`; never more than the last
 # pass's 2*steps, since steps >= MIN_STEPS
 _COARSE_CELLS = 2 * MIN_STEPS
@@ -248,16 +252,24 @@ def _running_products(alpha: np.ndarray, beta: np.ndarray):
     return alpha, beta
 
 
-def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajectory, RunResult]:
-    """Evolve |w> through the schedule window; return (Trajectory, RunResult).
-
-    `steps` Magnus-4 steps (at least `MIN_STEPS`) on the phase grid, at the
-    schedule's own n; the trajectory is sampled every max(1, steps // 2000)
-    steps (about 2000 samples) and always includes both endpoints.
-    """
+def _require_steps(steps) -> int:
+    """`steps` as an int in [MIN_STEPS, MAX_STEPS], or InvalidParameter naming it."""
     steps = model.require_integer("steps", steps)
     if steps < MIN_STEPS:
         raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
+    if steps > MAX_STEPS:
+        raise InvalidParameter(f"steps must be <= {MAX_STEPS}, got {steps}")
+    return steps
+
+
+def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajectory, RunResult]:
+    """Evolve |w> through the schedule window; return (Trajectory, RunResult).
+
+    `steps` Magnus-4 steps (`MIN_STEPS` to `MAX_STEPS`) on the phase grid, at the
+    schedule's own n; the trajectory is sampled every max(1, steps // 2000)
+    steps (about 2000 samples) and always includes both endpoints.
+    """
+    steps = _require_steps(steps)
     every = max(1, steps // 2000)
 
     n = schedule.n
@@ -322,16 +334,14 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     slice's sum divided by n on every entry.
 
     Every guard is checked before any stepping: an empty batch or `steps`
-    below `MIN_STEPS` (InvalidParameter), and a row with n above
+    outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
     `ORACLE_CAP` (OracleSizeExceeded).  After stepping, NonUnit names the
     first row whose own norm the (non-symplectic) integrator drifted
     beyond 1e-7.
     """
     if not schedules:
         raise InvalidParameter("batch must hold at least one row")
-    steps = model.require_integer("steps", steps)
-    if steps < MIN_STEPS:
-        raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
+    steps = _require_steps(steps)
     for row, schedule in enumerate(schedules):
         if schedule.n > ORACLE_CAP:
             raise OracleSizeExceeded(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactDegenerateN, InvalidParameter
-from .model import SearchInstance
+from .model import SearchInstance, require_positive
 
 
 class Strategy(str, enum.Enum):
@@ -205,12 +205,6 @@ _KERNEL_BOUND = math.sqrt(np.finfo(float).max) / 4.0
 _GAP_SQUARE_FLOOR = float(np.finfo(float).tiny)
 
 
-def _require_positive(**kwargs) -> None:
-    for name, value in kwargs.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
-
-
 def _require_gap(min_gap: float, form: str, inputs: str) -> None:
     if not min_gap * min_gap >= _GAP_SQUARE_FLOOR:
         raise InvalidParameter(
@@ -220,20 +214,19 @@ def _require_gap(min_gap: float, form: str, inputs: str) -> None:
 
 def linear_schedule(alpha: float, t_total: float, inst: SearchInstance) -> Schedule:
     """Straight ramps a = alpha*(t_f - t)/T, b = alpha*(t - t_i)/T on [0, T]."""
-    _require_positive(alpha=alpha, t_total=t_total)
+    alpha, t_total = require_positive("alpha", alpha), require_positive("t_total", t_total)
     # a_dot = -alpha/T, and the phase grows to about alpha*T
     if not max(alpha, alpha * t_total, alpha / t_total) <= _KERNEL_BOUND:
         raise InvalidParameter(
             f"alpha, the phase alpha*T or the rate alpha/T exceeds {_KERNEL_BOUND:.3g}: "
             f"alpha={alpha!r}, T={t_total!r}")
     _require_gap(alpha / math.sqrt(inst.n), "alpha/sqrt(n)", f"alpha={alpha!r}, n={inst.n}")
-    return Schedule(Strategy.LINEAR, inst.n, inst.marked, float(alpha), float(t_total),
-                    (0.0, float(t_total)))
+    return Schedule(Strategy.LINEAR, inst.n, inst.marked, alpha, t_total, (0.0, t_total))
 
 
 def local_schedule(alpha: float, epsilon: float, inst: SearchInstance) -> Schedule:
     """Gap-adapted schedule with 2*d(theta)/dt = eps*gap, on [0, 2*sqrt(n-1)/(alpha*eps)]."""
-    _require_positive(alpha=alpha, epsilon=epsilon)
+    alpha, epsilon = require_positive("alpha", alpha), require_positive("epsilon", epsilon)
     product = alpha * epsilon  # may underflow to 0 or overflow to inf
     t_total = 2.0 * math.sqrt(inst.n - 1.0) / product if 0.0 < product < math.inf else 0.0
     # a_dot peaks at alpha*n/T, at the window ends; the phase is alpha*T
@@ -245,8 +238,8 @@ def local_schedule(alpha: float, epsilon: float, inst: SearchInstance) -> Schedu
             f"2*sqrt(n-1)/epsilon or the rate alpha*n/T exceeds {_KERNEL_BOUND:.3g}: "
             f"alpha={alpha!r}, epsilon={epsilon!r}")
     _require_gap(alpha / math.sqrt(inst.n), "alpha/sqrt(n)", f"alpha={alpha!r}, n={inst.n}")
-    return Schedule(Strategy.LOCAL, inst.n, inst.marked, float(alpha), t_total,
-                    (0.0, t_total), epsilon=float(epsilon))
+    return Schedule(Strategy.LOCAL, inst.n, inst.marked, alpha, t_total, (0.0, t_total),
+                    epsilon=epsilon)
 
 
 def parallel_schedule(
@@ -257,7 +250,8 @@ def parallel_schedule(
     shape: Shape = Shape.TANH,
 ) -> Schedule:
     """Constant-gap schedule on the truncated window [-r*T_par/2, +r*T_par/2]."""
-    _require_positive(beta=beta, t_par=t_par, r=r)
+    beta, t_par, r = (require_positive("beta", beta), require_positive("t_par", t_par),
+                      require_positive("r", r))
     try:
         shape = Shape(shape)
     except ValueError as exc:
@@ -271,8 +265,8 @@ def parallel_schedule(
             f"{_KERNEL_BOUND:.3g}: beta={beta!r}, T={t_par!r}, r={r!r}")
     _require_gap(2.0 * beta / math.sqrt(inst.n), "2*beta/sqrt(n)", f"beta={beta!r}, n={inst.n}")
     half = 0.5 * r * t_par
-    return Schedule(Strategy.PARALLEL, inst.n, inst.marked, float(beta), float(t_par),
-                    (-half, half), r=float(r), shape=shape)
+    return Schedule(Strategy.PARALLEL, inst.n, inst.marked, beta, t_par, (-half, half),
+                    r=r, shape=shape)
 
 
 def cost(schedule: Schedule) -> CostReport:
@@ -300,8 +294,7 @@ def cost(schedule: Schedule) -> CostReport:
 
 def equal_cost_gamma(epsilon: float, r: float) -> float:
     """Sweep rate gamma = sqrt(n)/T_par matching the local cost at large n."""
-    _require_positive(epsilon=epsilon, r=r)
-    return 0.5 * epsilon * r
+    return 0.5 * require_positive("epsilon", epsilon) * require_positive("r", r)
 
 
 def parallel_peak_reference(beta: float, n: int) -> float:
@@ -310,7 +303,7 @@ def parallel_peak_reference(beta: float, n: int) -> float:
     The maximum of a(t) is instead beta*sqrt(n/(n-1)); cost() reports
     that peak and comparisons surface both values.
     """
-    _require_positive(beta=beta)
+    beta = require_positive("beta", beta)
     if n < 2:
         raise InvalidParameter(f"database size must be >= 2, got n={n}")
     return beta * (n - 2.0) / math.sqrt(n * (n - 1.0))
@@ -323,7 +316,7 @@ def equal_cost_parallel_time(epsilon: float, r: float, n: int) -> float:
     peak_reference * r * T_par = 2*sqrt(n-1)/eps exactly.  Undefined at
     n = 2, where the reference peak vanishes.
     """
-    _require_positive(epsilon=epsilon, r=r)
+    epsilon, r = require_positive("epsilon", epsilon), require_positive("r", r)
     if n < 2:
         raise InvalidParameter(f"database size must be >= 2, got n={n}")
     if n == 2:

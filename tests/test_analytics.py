@@ -97,6 +97,26 @@ class TestParallelLoss:
             parallel_loss_asymptotic(1.0, -2.0, 20)
 
 
+class TestInputsRefusedByName:
+    @pytest.mark.parametrize("value", [math.inf, "0.2", 0.0])
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: local_loss_exact(v, 20), "epsilon"),
+        (lambda v: local_loss_asymptotic(v), "epsilon"),
+        (lambda v: parallel_loss_asymptotic(v, 1.0, 20), "beta"),
+        (lambda v: parallel_loss_asymptotic(1.0, v, 20), "t_par"),
+        (lambda v: adiabaticity_check(linear_schedule(1.0, 10.0, SearchInstance(20)), v),
+         "epsilon"),
+    ], ids=["exact", "asymptotic", "parallel-beta", "parallel-t_par", "adiabaticity"])
+    def test_positive_inputs(self, call, name, value):
+        with pytest.raises(InvalidParameter) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be a positive finite number, got {value!r}"
+
+    def test_parallel_size_named(self):
+        with pytest.raises(InvalidParameter, match=r"^n must exceed 1, got 1\.0$"):
+            parallel_loss_asymptotic(1.0, 1.0, 1.0)
+
+
 class TestLossPrediction:
     def test_local_prediction(self, inst20):
         pred = loss_prediction(local_schedule(1.0, EPS_REF, inst20))

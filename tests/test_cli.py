@@ -51,6 +51,16 @@ class TestRunConfig:
         with pytest.raises(InvalidParameter):
             RunConfig(**kwargs).build()
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(strategy="linear", T="abc"), "t_total"),
+        (dict(strategy="linear", T=[1]), "t_total"),
+        (dict(strategy="local", epsilon="0.1"), "epsilon"),
+        (dict(strategy="parallel", T=1.0, r="8"), "r"),
+    ])
+    def test_non_numeric_inputs_refused_by_name(self, kwargs, name):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be a positive finite number"):
+            RunConfig(n=20, **kwargs).build()
+
     @pytest.mark.parametrize("strategy, required, field", [
         ("linear", {"T": 5.0}, "beta"),
         ("linear", {"T": 5.0}, "epsilon"),
@@ -227,6 +237,15 @@ class TestRunCommand:
         assert code == 2
         assert err == f"error: {name} must be a positive finite number, got 0.0\n"
         assert not out.exists()
+
+    def test_step_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused by RunConfig.build: propagate is never reached
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: pytest.fail("ran"))
+        code, _, err = run_main(
+            ["run", "--strategy", "local", "--n", "20", "--epsilon", "0.1",
+             "--steps", "4194305", "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert err == "error: --steps must be at most 4194304, got 4194305\n"
 
 
 class TestSweepCommand:
@@ -524,7 +543,8 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tolerance", "nan"), ("--tolerance", "inf"), ("--steps", "500"),
-        ("--seed", "-1"), ("--full-steps", "500"), ("--n-list", "0")])
+        ("--seed", "-1"), ("--full-steps", "500"), ("--n-list", "0"),
+        ("--full-steps", "4194305"), ("--steps", "4194305")])
     def test_rejected_before_propagation(self, tmp_path, capsys, monkeypatch,
                                          flag, value):
         runs = []

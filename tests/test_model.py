@@ -13,6 +13,7 @@ from adiasearch.model import (
     energy_gap,
     mixing_angle,
     reduced_terms,
+    require_positive,
 )
 
 
@@ -46,6 +47,23 @@ class TestSearchInstance:
         assert inst == SearchInstance(20, 3)
         assert type(inst.n) is int and type(inst.marked) is int
         assert SearchInstance(np.float64(1e8), np.uint8(7)) == SearchInstance(10**8, 7)
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("value", [
+        3, 0.25, np.int64(3), np.uint8(3), np.float32(4.7), np.float64(0.25), 10**300])
+    def test_returns_a_float(self, value):
+        number = require_positive("x", value)
+        assert type(number) is float
+        assert number == float(value)
+
+    @pytest.mark.parametrize("value", [
+        "1.0", None, [1.0], math.nan, math.inf, -math.inf, 0, 0.0, -2, np.float32(-1.0),
+        np.float64(math.inf), 10**400, 1j])
+    def test_refuses_by_name(self, value):
+        with pytest.raises(InvalidParameter) as info:
+            require_positive("x", value)
+        assert str(info.value) == f"x must be a positive finite number, got {value!r}"
 
 
 class TestReducedTerms:

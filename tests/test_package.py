@@ -1,5 +1,6 @@
 import ast
 import glob
+import importlib.util
 import json
 import os
 import re
@@ -135,3 +136,37 @@ def test_every_public_name_has_a_user():
             if not (used or named):
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def _load_by_path(monkeypatch, name, path):
+    # under a name of the test's own: perfbench is not a package, and its
+    # modules stay unimported elsewhere
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_resolve(monkeypatch):
+    # the benchmark wraps these attributes by name and drives these commands;
+    # a rename in src would break it only in the slower perfbench suite
+    spans = _load_by_path(monkeypatch, "_guard_perfbench_spans",
+                          os.path.join(PERFBENCH, "spans.py"))
+    workloads = _load_by_path(monkeypatch, "_guard_perfbench_workloads",
+                              os.path.join(PERFBENCH, "workloads.py"))
+    targets = spans.package_targets()
+    assert len(targets) == 12
+    for owner, attr, _, _ in targets:
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+    from adiasearch import cli
+
+    parser = cli.build_parser()
+    commands = [command for workload in workloads.WORKLOADS
+                for command in next(workloads.cycles(workload, 0))]
+    assert len(commands) == 12
+    for command in commands:
+        args = parser.parse_args([*command.argv, "--output", "out"])
+        assert args.handler.__name__ == f"cmd_{command.argv[0]}"

@@ -15,6 +15,7 @@ from adiasearch.errors import (
 from adiasearch.model import SearchInstance
 from adiasearch.propagate import (
     DEFAULT_STEPS,
+    MAX_STEPS,
     TRAJECTORY_COLUMNS,
     _compose,
     _magnus_steps,
@@ -250,6 +251,15 @@ class TestValidation:
     def test_step_floor(self, inst20):
         with pytest.raises(InvalidParameter):
             propagate(local_schedule(1.0, 0.2, inst20), steps=500)
+
+    def test_step_cap(self, inst20):
+        # refused before any array is sized by the count
+        sched = local_schedule(1.0, 0.2, inst20)
+        message = f"^steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"
+        with pytest.raises(InvalidParameter, match=message):
+            propagate(sched, MAX_STEPS + 1)
+        with pytest.raises(InvalidParameter, match=message):
+            propagate_full([sched], MAX_STEPS + 1)
 
     @pytest.mark.parametrize("steps", [2000.5, math.nan, math.inf, "2000"])
     def test_non_integral_steps_rejected_by_name(self, inst20, steps):

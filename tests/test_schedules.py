@@ -189,6 +189,28 @@ class TestParallelSchedule:
             parallel_schedule(beta, t_par, inst20, r=8.0)
 
 
+class TestNumpyScalarInputs:
+    # each input given as a NumPy scalar gives what its float value gives,
+    # computed in float64 (a float32 product would differ, or warn on overflow)
+    @pytest.mark.parametrize("scalar", [np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("build", [
+        lambda x, y, z: linear_schedule(x, y, SearchInstance(20)),
+        lambda x, y, z: local_schedule(x, y, SearchInstance(20)),
+        lambda x, y, z: parallel_schedule(x, y, SearchInstance(20), r=z),
+        lambda x, y, z: parallel_schedule(x, y, SearchInstance(20), r=z, shape="erf"),
+        lambda x, y, z: equal_cost_gamma(y, z),
+        lambda x, y, z: equal_cost_parallel_time(y, z, 20),
+        lambda x, y, z: parallel_peak_reference(x, 20),
+    ], ids=["linear", "local", "tanh", "erf", "gamma", "t_par", "peak"])
+    def test_same_as_float(self, scalar, build):
+        values = [scalar(v) for v in (1.3, 4.7, 6.5)]
+        got = build(*values)
+        assert got == build(*[float(v) for v in values])
+        numbers = [got] if isinstance(got, float) else [
+            got.alpha_or_beta, got.t_char, *got.window, got.epsilon or 0.0, got.r or 0.0]
+        assert all(type(v) is float for v in numbers)
+
+
 class TestLevels:
     @pytest.mark.parametrize("build", [
         lambda inst: linear_schedule(1.3, 440.0, inst),
