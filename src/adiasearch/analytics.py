@@ -61,8 +61,8 @@ def local_loss_exact(epsilon: float, n: float) -> float:
     `n` may be non-integral (> 1): the formula is analytic in n and the
     zero family n = 1 + tan^2(x) is useful in studies.
     """
-    epsilon = require_positive("epsilon", epsilon)
-    if not n > 1:
+    epsilon, n = require_positive("epsilon", epsilon), require_positive("n", n)
+    if n <= 1:
         raise InvalidParameter(f"n must exceed 1, got {n!r}")
     kappa2 = 1.0 + epsilon * epsilon
     phase = math.sqrt(kappa2) / epsilon * math.atan(math.sqrt(n - 1.0))
@@ -78,7 +78,8 @@ def local_loss_asymptotic(epsilon: float) -> float:
 def parallel_loss_asymptotic(beta: float, t_par: float, n: float) -> float:
     """Constant-gap asymptote sech^2(pi * t_par * beta / sqrt(n))."""
     beta, t_par = require_positive("beta", beta), require_positive("t_par", t_par)
-    if not n > 1:
+    n = require_positive("n", n)
+    if n <= 1:
         raise InvalidParameter(f"n must exceed 1, got {n!r}")
     return _sech2(math.pi * t_par * beta / math.sqrt(n))
 

@@ -58,6 +58,87 @@ _INPUTS = {
 _SWEPT_FLAG = {"epsilon": "epsilon", "inv_gamma": "T", "n": "n"}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hash32(value: int, const: int, mult: int) -> tuple[int, int]:
+    # SeedSequence's hash step: the hashed word and the advanced multiplier
+    const, value = const * mult & _M32, value ^ const
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _seed_state(seed: int) -> list[int]:
+    """`numpy.random.SeedSequence(seed).generate_state(4, numpy.uint64)`, as ints."""
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = _hash32(value, const, 0x931E8875)
+        return value
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in words[:4] + [0] * (4 - len(words))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = 0x8B51F9DD, []
+    for i in range(8):
+        value, const = _hash32(pool[i % 4], const, 0x58F38DED)
+        state.append(value)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Generator:
+    """NumPy's `default_rng(seed).integers(0, n)`, draw for draw, in pure Python.
+
+    `check` draws three marked indices; `numpy.random` would cost its
+    process ~5.5 MiB.  `_seed_state` seeds PCG64 (128-bit LCG, XSL-RR
+    output) as NumPy does, and `integers` is NumPy's Lemire draw: on
+    32-bit halves of the output words for n <= 2**32, on whole words above.
+    """
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int) -> None:
+        # as pcg64_set_seed: the state steps from 0 to inc, adds start, steps again
+        start_hi, start_lo, inc_hi, inc_lo = _seed_state(seed)
+        self._inc = (inc_hi << 64 | inc_lo) << 1 & _M128 | 1
+        start = self._inc + (start_hi << 64 | start_lo)
+        self._state = (start * self._MULT + self._inc) & _M128
+        self._half = None  # the upper half of a word whose lower half was drawn
+
+    def _next64(self) -> int:
+        self._state = (self._state * self._MULT + self._inc) & _M128
+        word, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
+        return (word >> rot | word << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            word, self._half = self._half, None
+            return word
+        word = self._next64()
+        self._half = word >> 32
+        return word & _M32
+
+    def integers(self, n: int) -> int:
+        """A uniform draw from [0, n), n >= 2."""
+        # at n = 2**32 NumPy returns the 32-bit word itself, as this step does
+        bits, draw = (32, self._next32) if n <= 2**32 else (64, self._next64)
+        m = draw() * n
+        if m & (1 << bits) - 1 < n:
+            threshold = (2**bits - n) % n
+            while m & (1 << bits) - 1 < threshold:
+                m = draw() * n
+        return m >> bits
 
 
 def _require_step_flag(flag: str, steps: int) -> None:
@@ -345,10 +426,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
     tolerance = require_positive("--tolerance", args.tolerance)
-    rng = np.random.default_rng(args.seed)
+    for n in args.n_list:
+        SearchInstance(n)  # a size above MAX_N exits 2 here, before the draw
+    rng = _Generator(args.seed)
     configs = []
     for n in args.n_list:
-        marked = int(rng.integers(0, n))
+        marked = rng.integers(n)
         # short windows keep the full-space RK4 cheap; equivalence must hold anyway
         configs += [
             RunConfig("linear", n=n, marked=marked, T=50.0, steps=args.steps),

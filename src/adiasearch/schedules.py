@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactDegenerateN, InvalidParameter
-from .model import SearchInstance, require_positive
+from .model import SearchInstance, require_integer, require_positive
 
 
 class Strategy(str, enum.Enum):
@@ -303,7 +303,7 @@ def parallel_peak_reference(beta: float, n: int) -> float:
     The maximum of a(t) is instead beta*sqrt(n/(n-1)); cost() reports
     that peak and comparisons surface both values.
     """
-    beta = require_positive("beta", beta)
+    beta, n = require_positive("beta", beta), require_integer("n", n)
     if n < 2:
         raise InvalidParameter(f"database size must be >= 2, got n={n}")
     return beta * (n - 2.0) / math.sqrt(n * (n - 1.0))
@@ -317,6 +317,7 @@ def equal_cost_parallel_time(epsilon: float, r: float, n: int) -> float:
     n = 2, where the reference peak vanishes.
     """
     epsilon, r = require_positive("epsilon", epsilon), require_positive("r", r)
+    n = require_integer("n", n)
     if n < 2:
         raise InvalidParameter(f"database size must be >= 2, got n={n}")
     if n == 2:

@@ -116,6 +116,24 @@ class TestInputsRefusedByName:
         with pytest.raises(InvalidParameter, match=r"^n must exceed 1, got 1\.0$"):
             parallel_loss_asymptotic(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", ["20", None, math.nan, math.inf, 0])
+    @pytest.mark.parametrize("call", [
+        lambda n: local_loss_exact(0.1, n),
+        lambda n: parallel_loss_asymptotic(1.0, 1.0, n),
+    ], ids=["exact", "parallel"])
+    def test_size_refused_by_name(self, call, n):
+        with pytest.raises(InvalidParameter) as info:
+            call(n)
+        assert str(info.value) == f"n must be a positive finite number, got {n!r}"
+
+    @pytest.mark.parametrize("call", [
+        lambda n: local_loss_exact(0.1, n),
+        lambda n: parallel_loss_asymptotic(1.0, 1.0, n),
+    ], ids=["exact", "parallel"])
+    def test_study_sizes_need_not_be_integral(self, call):
+        assert call(45.6) >= 0.0
+        assert call(np.float32(20.0)) == call(np.int64(20)) == call(20)
+
 
 class TestLossPrediction:
     def test_local_prediction(self, inst20):

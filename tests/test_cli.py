@@ -2,12 +2,15 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from adiasearch import analytics, cli, schedules
 from adiasearch.analytics import local_loss_exact
 from adiasearch.cli import RunConfig, main
 from adiasearch.errors import InvalidParameter
+from adiasearch.model import MAX_N
+from adiasearch.propagate import ORACLE_CAP
 from adiasearch.schedules import Strategy
 
 from conftest import EPS_REF
@@ -571,6 +574,35 @@ class TestCheckCommand:
              "--tolerance", "1.0", "--output", str(tmp_path)], capsys)
         assert code == 0
 
+    def test_marked_indices_follow_numpy(self, tmp_path, capsys):
+        code, _, _ = run_main(
+            ["check", "--n-list", "4", "20", "--seed", "7", "--steps", "1000",
+             "--full-steps", "4000", "--output", str(tmp_path)], capsys)
+        assert code == 0
+        report = json.loads((tmp_path / "check.json").read_text())
+        reference = np.random.default_rng(7)
+        marked = [int(reference.integers(0, n)) for n in (4, 20)]
+        # one draw per size, shared by its three strategies
+        assert [entry["marked"] for entry in report["entries"]] == [
+            marked[0]] * 3 + [marked[1]] * 3
+
+    @pytest.mark.parametrize("size, message", [
+        (600, "n=600 exceeds the full-propagation cap 512"),
+        (2**40, f"n={2**40} exceeds the full-propagation cap 512"),
+        (MAX_N + 1, f"database size must be <= {MAX_N}, got n={MAX_N + 1}"),
+        (10**19, f"database size must be <= {MAX_N}, got n={10**19}"),
+    ])
+    def test_oversized_n_exits_2_by_name(self, tmp_path, capsys, monkeypatch,
+                                         size, message):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
+            ["check", "--n-list", "4", str(size), "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert message in err
+        assert runs == []
+        assert not (tmp_path / "check.json").exists()
+
     def test_smallest_instance_agrees(self, tmp_path, capsys):
         out = tmp_path / "edge"
         code, _, _ = run_main(
@@ -579,6 +611,36 @@ class TestCheckCommand:
         assert code == 0
         report = json.loads((out / "check.json").read_text())
         assert report["max_delta"] < 1e-7
+
+
+class TestMarkedIndexDraw:
+    """`cli._Generator` draws what `numpy.random.default_rng(seed).integers(0, n)`
+    draws, one draw after another from one generator."""
+
+    SEEDS = [*range(200), 2**64, 2**64 + 1, 3 * 2**70 + 5, 2**128 + 12345]
+
+    @staticmethod
+    def draws(seed, sizes):
+        reference, port = np.random.default_rng(seed), cli._Generator(seed)
+        return ([int(reference.integers(0, n)) for n in sizes],
+                [port.integers(n) for n in sizes])
+
+    def test_every_oracle_size(self):
+        sizes = range(2, ORACLE_CAP + 1)
+        for seed in self.SEEDS:
+            expected, got = self.draws(seed, sizes)
+            assert got == expected, seed
+
+    @pytest.mark.parametrize("sizes", [
+        [2**31 + 1, 2**32 - 3, 2**32 - 1, 2**32],
+        [2**32 + 1, 2**33 + 7, 2**40, 3 * 10**15, MAX_N - 1, MAX_N],
+        # a 64-bit draw leaves the buffered 32-bit half-word in place
+        [5, 2**40, 7, 2**32 + 1, 3, MAX_N, 2**32, 11, 2**32 - 1, ORACLE_CAP],
+    ], ids=["near-2^32", "64-bit", "mixed"])
+    def test_wide_sizes(self, sizes):
+        for seed in self.SEEDS[::7] + self.SEEDS[-4:]:
+            expected, got = self.draws(seed, sizes * 3)
+            assert got == expected, seed
 
 
 class TestEnvironmentCap:

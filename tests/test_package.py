@@ -62,6 +62,27 @@ def test_start_up_path_loads_no_scipy(tmp_path):
     assert report["after"] == []
 
 
+# Fresh interpreter: run a small check and list the numpy.random modules
+# loaded by then.
+CHECK = """
+import contextlib, io, json, sys, tempfile
+import adiasearch.cli as cli
+
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check", "--n-list", "4", "20", "--steps", "1000",
+                     "--full-steps", "4000", "--output", out])
+print(json.dumps({"code": code,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("numpy.random"))}))
+"""
+
+
+def test_check_loads_no_numpy_random(tmp_path):
+    # check draws its marked indices with cli._Generator, not numpy.random
+    proc = _python(["-c", CHECK], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "loaded": []}
+
+
 def test_python_dash_m_entry_point(tmp_path):
     proc = _python(["-m", "adiasearch", "run", "--strategy", "local", "--n", "4",
                     "--epsilon", "0.5", "--steps", "1000", "--output", "out"], tmp_path)

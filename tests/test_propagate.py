@@ -31,7 +31,7 @@ from adiasearch.schedules import (
     parallel_schedule,
 )
 
-from conftest import EPS_REF
+from conftest import EPS_REF, local_profile
 
 
 class FrozenSchedule:
@@ -103,6 +103,13 @@ class TestLocalRun:
         # p_minus(tau) = eps^2/(1+eps^2) sin^2(sqrt(1+eps^2) tau), exactly
         predicted = eps**2 / (1 + eps**2) * np.sin(np.sqrt(1 + eps**2) * tau) ** 2
         assert np.max(np.abs(traj.p_minus - predicted)) <= 1e-6
+
+    @pytest.mark.parametrize("steps", [4000, 16_000])
+    @pytest.mark.parametrize("n", [20, 10**3, 10**8])
+    def test_every_row_on_the_closed_form_profile(self, n, steps):
+        traj, result = propagate(local_schedule(1.0, EPS_REF, SearchInstance(n)), steps=steps)
+        profile = local_profile(EPS_REF, n, traj.theta)
+        assert np.max(np.abs(traj.p_minus - profile)) <= max(1e-14, result.error_estimate)
 
     def test_loss_has_interference_oscillations(self, inst20):
         traj, _ = propagate(local_schedule(1.0, EPS_REF, inst20))

@@ -408,3 +408,20 @@ class TestEqualCostBookkeeping:
     def test_degenerate_n2_refused(self):
         with pytest.raises(ExactDegenerateN):
             equal_cost_parallel_time(0.1, 8.0, 2)
+
+    @pytest.mark.parametrize("n", [20.5, "20", None, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda n: equal_cost_parallel_time(0.1, 12.0, n),
+        lambda n: parallel_peak_reference(1.0, n),
+    ], ids=["t_par", "peak"])
+    def test_size_refused_by_name(self, call, n):
+        with pytest.raises(InvalidParameter) as info:
+            call(n)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("call", [
+        lambda n: equal_cost_parallel_time(0.1, 12.0, n),
+        lambda n: parallel_peak_reference(1.0, n),
+    ], ids=["t_par", "peak"])
+    def test_integral_sizes_agree(self, call):
+        assert call(20.0) == call(np.int64(20)) == call(20)

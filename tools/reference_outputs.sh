@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the ten reference commands of the output contract against one source tree.
+# Run the eleven reference commands of the output contract against one source tree.
 #
 # Usage: tools/reference_outputs.sh SRC_DIR OUT_DIR
 #
@@ -42,3 +42,5 @@ run sweep_inv_gamma sweep --strategy parallel --variable inv_gamma \
 run sweep_epsilon sweep --strategy local --variable epsilon --values 0.05 0.1 0.25 --n 50
 run compare compare --epsilon "$eps" --r 12 --n 20
 run check check
+run check_seed_words check --seed 12345678901234567890 --n-list 2 3 512 --steps 1000 \
+    --full-steps 8000
