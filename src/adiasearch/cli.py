@@ -61,22 +61,17 @@ CHECK_TOLERANCE = 1e-7
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
-def _hash32(value: int, const: int, mult: int) -> tuple[int, int]:
-    # SeedSequence's hash step: the hashed word and the advanced multiplier
-    const, value = const * mult & _M32, value ^ const
-    value = value * const & _M32
-    return value ^ value >> 16, const
-
-
 def _seed_state(seed: int) -> list[int]:
     """`numpy.random.SeedSequence(seed).generate_state(4, numpy.uint64)`, as ints."""
     words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     const = 0x43B0D7E5
 
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value, const = _hash32(value, const, 0x931E8875)
-        return value
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal const  # each hash advances the shared multiplier
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
 
     def mix(x: int, y: int) -> int:
         x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
@@ -90,10 +85,8 @@ def _seed_state(seed: int) -> list[int]:
     for word in words[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    const, state = 0x8B51F9DD, []
-    for i in range(8):
-        value, const = _hash32(pool[i % 4], const, 0x58F38DED)
-        state.append(value)
+    const = 0x8B51F9DD
+    state = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
     return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
