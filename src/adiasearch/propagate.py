@@ -34,6 +34,8 @@ rotation and relative gap change (`_phase_grid`, three coarse passes of
 gets as many steps as it needs.  The same nodes taken every
 other one give a half-resolution run, and the difference, divided by
 2^4 - 1, estimates the discretization error (`RunResult.error_estimate`).
+The half run is stepped only when the estimate is first read
+(`_half_run_estimate`), so a run whose estimate nobody reads skips it.
 
 `propagate_full` is an independent cross-check that never builds the
 two-level reduction: it integrates the full n-dimensional Schrodinger
@@ -49,7 +51,8 @@ two paths validates the reduction end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -118,6 +121,11 @@ TRAJECTORY_COLUMNS = tuple(field.name for field in fields(Trajectory))
 class RunResult:
     """What one propagation measured at the end of the window.
 
+    `error_estimate` is the reduced run's discretization error estimate
+    (None for `propagate_full`).  Its half-resolution run costs about a
+    fifth of the main run, so it is computed on first read and kept; no
+    command reads it.  Equality compares the measured fields only.
+
     Figures of the schedule alone, such as its cost and predicted loss,
     come from `schedules.cost` and `analytics.loss_prediction`.
     """
@@ -125,7 +133,13 @@ class RunResult:
     p_m_final: float
     p_loss: float
     norm_drift: float
-    error_estimate: float | None = None
+    # a partial of a module-level function, so results stay picklable
+    _estimate: partial | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def error_estimate(self) -> float | None:
+        """Bound on the discretization error of p_m_final and p_loss."""
+        return None if self._estimate is None else self._estimate()
 
 
 def _cumulative_mass(schedule: Schedule, t: np.ndarray) -> np.ndarray:
@@ -296,23 +310,31 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
     if not drift <= 1e-9:  # a NaN norm fails too
         raise NonUnit(f"norm drifted by {drift:.3e} during propagation")
 
-    # Richardson estimate from the same nodes at half the steps (order 4:
-    # the N-step error is about 1/15 of the difference), plus rounding.  The
-    # half run is composed per block, then over the block products.
-    half_alpha, half_beta = _compose(*_magnus_steps(
-        schedule, nodes[np.r_[0:steps:2, steps]], _BLOCK))
-    half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
-    _, half_minus = model.adiabatic_populations(theta[-1], half_u, half_m)
-    estimate = (max(abs(abs(half_m) ** 2 - p_m[-1]), abs(half_minus - p_minus[-1])) / 15.0
-                + steps * _EPS)
-
     trajectory = Trajectory(
         t=ts, a=np.asarray(a, float), b=np.asarray(b, float),
         lambda_plus=lam_p, lambda_minus=lam_m, theta=theta, theta_dot=rate,
         p_u=p_u, p_m=p_m, p_plus=p_plus, p_minus=p_minus, norm=norm,
     )
-    result = RunResult(float(p_m[-1]), min(1.0, float(p_minus[-1])), drift, float(estimate))
+    estimate = partial(_half_run_estimate, schedule, steps, nodes[np.r_[0:steps:2, steps]],
+                       c_u0, c_m0, theta[-1], p_m[-1], p_minus[-1])
+    result = RunResult(float(p_m[-1]), min(1.0, float(p_minus[-1])), drift, estimate)
     return trajectory, result
+
+
+def _half_run_estimate(schedule: Schedule, steps: int, half_nodes: np.ndarray,
+                       c_u0: complex, c_m0: complex, theta, p_m, p_minus) -> float:
+    """`RunResult.error_estimate` of a `steps`-step run from |w> = (c_u0, c_m0)
+    that ended at mixing angle `theta` with populations `p_m` and `p_minus`.
+
+    Richardson estimate from the same nodes at half the steps (order 4: the
+    N-step error is about 1/15 of the difference), plus rounding.  The half
+    run is composed per block, then over the block products.
+    """
+    half_alpha, half_beta = _compose(*_magnus_steps(schedule, half_nodes, _BLOCK))
+    half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
+    _, half_minus = model.adiabatic_populations(theta, half_u, half_m)
+    return float(max(abs(abs(half_m) ** 2 - p_m), abs(half_minus - p_minus)) / 15.0
+                 + steps * _EPS)
 
 
 # RK4 steps of `propagate_full`, and `check`'s default (echoed in check.json)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import warnings
@@ -666,3 +667,34 @@ class TestEnvironmentCap:
         assert code == 2
         assert "n=513" in err
         assert reduced_runs == []
+
+
+class TestErrorEstimateUnread:
+    """No command reads `RunResult.error_estimate`, so none steps its half run."""
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["run", "--strategy", "local", "--n", "20", "--epsilon", "0.2"], 1),
+        (["sweep", "--strategy", "local", "--variable", "n", "--epsilon", "0.2",
+          "--values", "10", "20", "30"], 3),
+        (["compare", "--epsilon", EPS_STR, "--r", "12", "--n", "20"], 2),
+        (["check", "--n-list", "4", "--full-steps", "1000"], 3),
+    ], ids=["run", "sweep", "compare", "check"])
+    def test_one_magnus_pass_per_reduced_run(self, tmp_path, capsys, monkeypatch, argv, runs):
+        module = importlib.import_module("adiasearch.propagate")
+        propagations, passes = [], []
+        propagate, magnus_steps = module.propagate, module._magnus_steps
+
+        def counted_propagate(*args, **kwargs):
+            propagations.append(args)
+            return propagate(*args, **kwargs)
+
+        def counted_steps(*args):
+            passes.append(args)
+            return magnus_steps(*args)
+
+        monkeypatch.setattr(cli, "propagate", counted_propagate)
+        monkeypatch.setattr(module, "_magnus_steps", counted_steps)
+        code, _, _ = run_main(argv + ["--steps", "1000", "--output", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(propagations) == runs
+        assert len(passes) == runs

@@ -1,5 +1,6 @@
 import importlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -476,22 +477,72 @@ class TestBlocks:
         # one step each (3 and 4,095 identity pads)
         sched = build(SearchInstance(1000))
         traj, result = propagate(sched, steps=steps)
+        # equality skips the estimate, and its half run steps on first read:
+        # read it here at the default block, below at one block
+        estimate = result.error_estimate
         monkeypatch.setattr(importlib.import_module("adiasearch.propagate"), "_BLOCK", 4 * steps)
         whole_traj, whole_result = propagate(sched, steps=steps)
         for name in TRAJECTORY_COLUMNS:
             assert np.array_equal(getattr(traj, name), getattr(whole_traj, name)), name
         assert result == whole_result
+        assert estimate == whole_result.error_estimate
 
     def test_peak_memory_of_a_default_run(self):
         # the blocks keep every temporary small: the run peaks below 2 MiB
-        # (3.1 MiB with one array per pass)
+        # (3.1 MiB with one array per pass), and so does the run plus the half
+        # run of its error estimate
         sched = local_schedule(1.0, EPS_REF, SearchInstance(1000))
-        propagate(sched)
+        propagate(sched)[1].error_estimate
+        peaks = []
         tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            propagate(sched)
-            _, peak = tracemalloc.get_traced_memory()
+            for run in (lambda: propagate(sched), lambda: propagate(sched)[1].error_estimate):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert max(peaks) < 2 * 2**20
+
+
+class TestRunResult:
+    @pytest.mark.parametrize("build, steps, expected", [
+        (lambda: local_schedule(1.0, EPS_REF, SearchInstance(20)), 2000,
+         "0x1.8ec6811111111p-40"),
+        (lambda: parallel_schedule(1.0, 0.6 * math.sqrt(1000), SearchInstance(1000), r=12.0),
+         DEFAULT_STEPS, "0x1.f44e222222222p-39"),
+    ], ids=["local", "parallel"])
+    def test_estimate_stepped_on_first_read(self, monkeypatch, build, steps, expected):
+        # one Magnus pass per run; the half run's pass comes with the first
+        # read of the estimate, whose bits are those it had when every run
+        # computed it
+        passes = []
+
+        def counted(schedule, nodes, every):
+            passes.append(len(nodes) - 1)
+            return _magnus_steps(schedule, nodes, every)
+
+        monkeypatch.setattr(importlib.import_module("adiasearch.propagate"), "_magnus_steps",
+                            counted)
+        _, result = propagate(build(), steps=steps)
+        assert passes == [steps]
+        assert result.error_estimate.hex() == expected
+        assert passes == [steps, steps // 2]
+        assert result.error_estimate.hex() == expected
+        assert passes == [steps, steps // 2]
+
+    def test_runs_of_one_schedule_compare_equal(self, inst20):
+        sched = local_schedule(1.0, EPS_REF, inst20)
+        assert propagate(sched, steps=2000)[1] == propagate(sched, steps=2000)[1]
+
+    def test_pickle_round_trips(self, inst20):
+        _, result = propagate(parallel_schedule(1.0, 4.7, inst20, r=8.0), steps=2000)
+        unread = pickle.loads(pickle.dumps(result))
+        estimate = result.error_estimate
+        read = pickle.loads(pickle.dumps(result))
+        assert unread == result == read
+        assert unread.error_estimate == estimate == read.error_estimate
+
+    def test_full_results_carry_no_estimate(self, inst4):
+        [full] = propagate_full([local_schedule(1.0, 0.2, inst4)], steps=1000)
+        assert full.error_estimate is None
