@@ -123,7 +123,7 @@ class RunResult:
 
     `error_estimate` is the reduced run's discretization error estimate
     (None for `propagate_full`).  Its half-resolution run costs about a
-    fifth of the main run, so it is computed on first read and kept; no
+    sixth of the main run, so it is computed on first read and kept; no
     command reads it.  Equality compares the measured fields only.
 
     Figures of the schedule alone, such as its cost and predicted loss,
