@@ -36,10 +36,9 @@ from .model import SearchInstance, require_integer, require_positive
 from .propagate import (
     DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
-    MAX_STEPS,
-    MIN_STEPS,
     RunResult,
     Trajectory,
+    _require_steps,
     propagate,
     propagate_full,
     write_trajectory_csv,
@@ -134,14 +133,6 @@ class _Generator:
         return m >> bits
 
 
-def _require_step_flag(flag: str, steps: int) -> None:
-    # the flag's own bounds, checked before any schedule is built or run
-    if steps < MIN_STEPS:
-        raise InvalidParameter(f"{flag} must be at least {MIN_STEPS}, got {steps}")
-    if steps > MAX_STEPS:
-        raise InvalidParameter(f"{flag} must be at most {MAX_STEPS}, got {steps}")
-
-
 @dataclass
 class RunConfig:
     """One propagation request; also the per-point template for sweeps.
@@ -196,7 +187,7 @@ class RunConfig:
         """Validate the config against its strategy and build its schedule."""
         if self.n < 2:
             raise InvalidParameter(f"--n must be at least 2, got {self.n}")
-        _require_step_flag("--steps", self.steps)
+        _require_steps(self.steps, "--steps")
         inst = SearchInstance(self.n, self.marked)
         takes, required = _INPUTS[self.strategy]
         for field in ("beta", "alpha", "r", "shape", "epsilon", "T"):
@@ -433,7 +424,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                       steps=args.steps),
         ]
     batch = [config.build() for config in configs]
-    _require_step_flag("--full-steps", args.full_steps)
+    _require_steps(args.full_steps, "--full-steps")
     # one oracle call for every entry; its guards run before any propagation
     fulls = propagate_full(batch, steps=args.full_steps)
     entries = []

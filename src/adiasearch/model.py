@@ -24,7 +24,9 @@ Units: hbar = 1 throughout, couplings are angular frequencies.
 
 The kernel functions (`reduced_terms`, `eigenvalues`, `energy_gap`,
 `mixing_angle`, `coupling_rate`) and `adiabatic_populations` accept
-scalars or numpy arrays and broadcast.
+scalars or numpy arrays and broadcast.  `reduced_terms` gives (delta,
+omega) only: the mean (a+b)/2 shifts both levels alike, so only
+`eigenvalues` computes it.
 """
 
 from __future__ import annotations
@@ -97,26 +99,28 @@ class SearchInstance:
 
 
 def reduced_terms(a, b, n):
-    """Return (mean, delta, omega) for couplings a, b at database size n."""
+    """Return (delta, omega) for couplings a, b at database size n."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = np.asarray(n, dtype=float)
-    mean = 0.5 * (a + b)
     delta = 0.5 * (a - b) - a / n
     omega = a * np.sqrt(n - 1.0) / n
-    return mean, delta, omega
+    return delta, omega
 
 
 def eigenvalues(a, b, n):
-    """Return (lambda_plus, lambda_minus)."""
-    mean, delta, omega = reduced_terms(a, b, n)
+    """Return (lambda_plus, lambda_minus) = (a+b)/2 +/- sqrt(delta^2 + omega^2)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mean = 0.5 * (a + b)
+    delta, omega = reduced_terms(a, b, n)
     r = np.hypot(delta, omega)
     return mean + r, mean - r
 
 
 def energy_gap(a, b, n):
     """Return lambda_plus - lambda_minus = sqrt(a^2 + b^2 - 2ab(1 - 2/n))."""
-    _, delta, omega = reduced_terms(a, b, n)
+    delta, omega = reduced_terms(a, b, n)
     return 2.0 * np.hypot(delta, omega)
 
 
@@ -126,7 +130,7 @@ def mixing_angle(a, b, n):
     omega >= 0 for non-negative couplings, so theta is continuous in
     [0, pi/2]; theta = pi/2 is reached exactly when a = 0 (|+> = |m>).
     """
-    _, delta, omega = reduced_terms(a, b, n)
+    delta, omega = reduced_terms(a, b, n)
     return 0.5 * np.arctan2(omega, delta)
 
 

@@ -155,14 +155,16 @@ def _cumulative_mass(schedule: Schedule, t: np.ndarray) -> np.ndarray:
     for first in range(0, len(t) - 1, _BLOCK):
         points = t[first:first + _BLOCK + 1]
         a, b = schedule.levels(points)
-        _, delta, omega = model.reduced_terms(a, b, schedule.n)
+        delta, omega = model.reduced_terms(a, b, schedule.n)
         gap = 2.0 * np.hypot(delta, omega)
-        if not np.all(gap > 0.0):
+        if not gap.min() > 0.0:  # a NaN gap fails too
             raise DegeneratePoint("schedule passes through a = b = 0")
+        angle = np.arctan2(omega, delta)
+        log_gap = np.log(gap)
         mass[first + 1:first + len(points)] = (
-            0.5 * (gap[1:] + gap[:-1]) * np.diff(points)
-            + 2.0 * np.abs(np.diff(np.arctan2(omega, delta)))
-            + np.abs(np.diff(np.log(gap))))
+            0.5 * (gap[1:] + gap[:-1]) * (points[1:] - points[:-1])
+            + 2.0 * np.abs(angle[1:] - angle[:-1])
+            + np.abs(log_gap[1:] - log_gap[:-1]))
     return np.cumsum(mass, out=mass)
 
 
@@ -204,20 +206,24 @@ def _magnus_steps(schedule: Schedule, nodes: np.ndarray, every: int):
     runs_alpha, runs_beta = [], []
     for first in range(0, len(nodes) - 1, per_block):
         block = nodes[first:first + per_block + 1]
-        h = np.diff(block)
-        mid = block[:-1] + 0.5 * h
-        a, b = schedule.levels(np.concatenate((mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)))
-        _, delta, omega = model.reduced_terms(a, b, schedule.n)
-        d1, d2 = np.split(delta, 2)
-        w1, w2 = np.split(omega, 2)
-        z = 0.5 * h * (d1 + d2)
-        x = 0.5 * h * (w1 + w2)
+        h = block[1:] - block[:-1]
+        half, offset = 0.5 * h, _GAUSS_OFFSET * h
+        mid = block[:-1] + half
+        a, b = schedule.levels(np.concatenate((mid - offset, mid + offset)))
+        delta, omega = model.reduced_terms(a, b, schedule.n)
+        d1, d2 = delta[:len(h)], delta[len(h):]
+        w1, w2 = omega[:len(h)], omega[len(h):]
+        z = half * (d1 + d2)
+        x = half * (w1 + w2)
         y = _COMMUTATOR * h * h * (d2 * w1 - d1 * w2)
         r = np.sqrt(z * z + x * x + y * y)
         sinc = np.sinc(r / np.pi)
+        alpha = np.cos(r) - 1j * sinc * z
+        beta = sinc * (y - 1j * x)
         pad = -len(h) % every
-        alpha = np.concatenate((np.cos(r) - 1j * sinc * z, np.ones(pad)))
-        beta = np.concatenate((sinc * (y - 1j * x), np.zeros(pad)))
+        if pad:
+            alpha = np.concatenate((alpha, np.ones(pad)))
+            beta = np.concatenate((beta, np.zeros(pad)))
         alpha, beta = _compose(alpha.reshape(-1, every), beta.reshape(-1, every))
         runs_alpha.append(alpha)
         runs_beta.append(beta)
@@ -255,24 +261,26 @@ def _running_products(alpha: np.ndarray, beta: np.ndarray):
 
     Hillis-Steele: after the pass with shift d, entry k holds the product
     of the entries k-2d+1 ... k, so ceil(log2(len)) elementwise passes
-    cover everything; no loop over the entries.
+    cover everything; no loop over the entries.  The scan overwrites
+    `alpha` and `beta` and returns them: `propagate` builds both arrays
+    for it and nothing else holds them.
     """
     shift = 1
     while shift < len(alpha):
-        head_a, head_b = _product(alpha[shift:], beta[shift:], alpha[:-shift], beta[:-shift])
-        alpha = np.concatenate((alpha[:shift], head_a))
-        beta = np.concatenate((beta[:shift], head_b))
+        alpha[shift:], beta[shift:] = _product(alpha[shift:], beta[shift:],
+                                               alpha[:-shift], beta[:-shift])
         shift *= 2
     return alpha, beta
 
 
-def _require_steps(steps) -> int:
-    """`steps` as an int in [MIN_STEPS, MAX_STEPS], or InvalidParameter naming it."""
-    steps = model.require_integer("steps", steps)
+def _require_steps(steps, name: str) -> int:
+    """`steps` as an int in [MIN_STEPS, MAX_STEPS], or InvalidParameter naming
+    it `name` ("steps" in the library, the flag in the CLI)."""
+    steps = model.require_integer(name, steps)
     if steps < MIN_STEPS:
-        raise InvalidParameter(f"steps must be >= {MIN_STEPS}, got {steps}")
+        raise InvalidParameter(f"{name} must be at least {MIN_STEPS}, got {steps}")
     if steps > MAX_STEPS:
-        raise InvalidParameter(f"steps must be <= {MAX_STEPS}, got {steps}")
+        raise InvalidParameter(f"{name} must be at most {MAX_STEPS}, got {steps}")
     return steps
 
 
@@ -283,7 +291,7 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
     schedule's own n; the trajectory is sampled every max(1, steps // 2000)
     steps (about 2000 samples) and always includes both endpoints.
     """
-    steps = _require_steps(steps)
+    steps = _require_steps(steps, "steps")
     every = max(1, steps // 2000)
 
     n = schedule.n
@@ -363,7 +371,7 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     """
     if not schedules:
         raise InvalidParameter("batch must hold at least one row")
-    steps = _require_steps(steps)
+    steps = _require_steps(steps, "steps")
     for row, schedule in enumerate(schedules):
         if schedule.n > ORACLE_CAP:
             raise OracleSizeExceeded(

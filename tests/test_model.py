@@ -68,18 +68,20 @@ class TestRequirePositive:
 
 class TestReducedTerms:
     def test_projector_point_n4(self):
-        mean, delta, omega = reduced_terms(1.0, 0.0, 4)
-        assert mean == pytest.approx(0.5, abs=0)
+        delta, omega = reduced_terms(1.0, 0.0, 4)
+        lam_p, lam_m = eigenvalues(1.0, 0.0, 4)
+        assert (lam_p + lam_m) / 2 == pytest.approx(0.5, abs=0)
         assert delta == pytest.approx(0.25, abs=0)
         assert omega == pytest.approx(0.4330127018922193, rel=1e-15)
 
     def test_marked_only_kills_omega(self):
         for n in (2, 5, 1000):
-            mean, delta, omega = reduced_terms(0.0, 1.0, n)
-            assert (mean, delta, omega) == (0.5, -0.5, 0.0)
+            delta, omega = reduced_terms(0.0, 1.0, n)
+            lam_p, lam_m = eigenvalues(0.0, 1.0, n)
+            assert ((lam_p + lam_m) / 2, delta, omega) == (0.5, -0.5, 0.0)
 
     def test_symmetric_point_n20(self):
-        _, delta, omega = reduced_terms(0.5, 0.5, 20)
+        delta, omega = reduced_terms(0.5, 0.5, 20)
         assert delta == pytest.approx(-0.025, rel=1e-15)
         assert omega == pytest.approx(0.10897247358851685, rel=1e-15)
 
@@ -201,7 +203,7 @@ class TestSpectralIdentities:
     def test_gap_coupling_consistency(self, samples):
         a, b, n = samples
         lam_p, lam_m = eigenvalues(a, b, n)
-        _, delta, omega = reduced_terms(a, b, n)
+        delta, omega = reduced_terms(a, b, n)
         lhs = (lam_p - lam_m) ** 2
         rhs = 4.0 * (delta**2 + omega**2)
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * rhs)

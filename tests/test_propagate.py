@@ -263,7 +263,7 @@ class TestValidation:
     def test_step_cap(self, inst20):
         # refused before any array is sized by the count
         sched = local_schedule(1.0, 0.2, inst20)
-        message = f"^steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}$"
+        message = f"^steps must be at most {MAX_STEPS}, got {MAX_STEPS + 1}$"
         with pytest.raises(InvalidParameter, match=message):
             propagate(sched, MAX_STEPS + 1)
         with pytest.raises(InvalidParameter, match=message):
@@ -286,6 +286,11 @@ class TestValidation:
         # a = b = 0: the splitting vanishes and the eigenbasis is undefined
         with pytest.raises(DegeneratePoint):
             propagate(FrozenSchedule(0.0, 0.0, 20), steps=2000)
+
+    def test_nan_gap_rejected(self):
+        # a NaN coupling gives a NaN gap, which the guard refuses as it does a zero one
+        with pytest.raises(DegeneratePoint):
+            propagate(FrozenSchedule(math.nan, 0.0, 20), steps=2000)
 
     def test_nan_state_rejected(self):
         # a = 1e200 overflows the step exponentials (z*z) to NaN; the builders
