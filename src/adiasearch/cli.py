@@ -9,7 +9,7 @@ Subcommands:
 
 Each subcommand handler takes the parsed arguments and builds every run
 it makes through `RunConfig.build`, so the step bounds, the size floor
-and the inputs each strategy takes (`_INPUTS`) are checked in one place.
+and each strategy's inputs and builder (`_INPUTS`) live in one place.
 
 Outputs are plain CSV/JSON so plotting can happen anywhere; identical
 configs (including seeds) produce byte-identical files.  Exit codes:
@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import analytics, schedules
 from .errors import AdiabaticSearchError, InvalidParameter
-from .model import SearchInstance, require_integer, require_positive
+from .model import SearchInstance, require_choice, require_integer, require_positive
 from .propagate import (
     DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
@@ -47,14 +48,15 @@ from .schedules import Schedule, Shape, Strategy
 
 _STRATEGIES = tuple(s.value for s in Strategy)
 _SHAPES = tuple(s.value for s in Shape)
-# per strategy: the optional inputs it takes, and the one of them it requires
+# per strategy: its schedule builder, the optional inputs it takes, and the
+# one of them it requires, which the builder takes after the coupling scale
 _INPUTS = {
-    "linear": (("alpha", "T"), "T"),
-    "local": (("alpha", "epsilon"), "epsilon"),
-    "parallel": (("beta", "T", "r", "shape"), "T"),
+    "linear": (schedules.linear_schedule, ("alpha", "T"), "T"),
+    "local": (schedules.local_schedule, ("alpha", "epsilon"), "epsilon"),
+    "parallel": (schedules.parallel_schedule, ("beta", "T", "r", "shape"), "T"),
 }
-# the flag that each swept variable sets point by point
-_SWEPT_FLAG = {"epsilon": "epsilon", "inv_gamma": "T", "n": "n"}
+# per swept variable: the flag its values set, and the one strategy it needs (None: any)
+_SWEPT = {"epsilon": ("epsilon", "local"), "inv_gamma": ("T", "parallel"), "n": ("n", None)}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -139,8 +141,8 @@ class RunConfig:
 
     Inputs that the strategy does not take (`_INPUTS`) must stay None; the
     build step rejects contradictions instead of silently ignoring them.
-    An unset coupling scale or window factor takes its default only where
-    it is read, in `scale` and `window_r`.
+    An unset coupling scale takes its default where it is read, in `scale`;
+    an unset r or shape takes `parallel_schedule`'s default.
     """
 
     strategy: str
@@ -155,17 +157,12 @@ class RunConfig:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self) -> None:
-        self.strategy = str(self.strategy).lower()
-        if self.strategy not in _STRATEGIES:
-            raise InvalidParameter(
-                f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
+        # the plain value, not the member, which an f-string prints as Strategy.LOCAL
+        self.strategy = require_choice("strategy", Strategy, self.strategy).value
         for field in ("n", "marked", "steps"):
             setattr(self, field, require_integer(field, getattr(self, field)))
         if self.shape is not None:
-            self.shape = str(self.shape).lower()
-            if self.shape not in _SHAPES:
-                raise InvalidParameter(
-                    f"shape must be one of {_SHAPES}, got {self.shape!r}")
+            self.shape = require_choice("shape", Shape, self.shape).value
 
     @property
     def scale(self) -> float:
@@ -180,8 +177,9 @@ class RunConfig:
 
     @property
     def window_r(self) -> float:
-        """The parallel window length in units of T (default 8)."""
-        return 8.0 if self.r is None else self.r
+        """The parallel window length in units of T; `parallel_schedule`'s default if unset."""
+        default = inspect.signature(schedules.parallel_schedule).parameters["r"].default
+        return default if self.r is None else self.r
 
     def build(self) -> Schedule:
         """Validate the config against its strategy and build its schedule."""
@@ -189,7 +187,7 @@ class RunConfig:
             raise InvalidParameter(f"--n must be at least 2, got {self.n}")
         _require_steps(self.steps, "--steps")
         inst = SearchInstance(self.n, self.marked)
-        takes, required = _INPUTS[self.strategy]
+        builder, takes, required = _INPUTS[self.strategy]
         for field in ("beta", "alpha", "r", "shape", "epsilon", "T"):
             if field not in takes and getattr(self, field) is not None:
                 raise InvalidParameter(
@@ -197,15 +195,9 @@ class RunConfig:
         if getattr(self, required) is None:
             raise InvalidParameter(
                 f"--{required} is required for the {self.strategy} strategy")
-        if self.strategy == Strategy.LOCAL:
-            schedule = schedules.local_schedule(self.scale, self.epsilon, inst)
-        elif self.strategy == Strategy.LINEAR:
-            schedule = schedules.linear_schedule(self.scale, self.T, inst)
-        else:
-            shape = Shape(self.shape) if self.shape is not None else Shape.TANH
-            schedule = schedules.parallel_schedule(
-                self.scale, self.T, inst, r=self.window_r, shape=shape)
-        return schedule
+        # r and shape only where set: their defaults live in parallel_schedule
+        options = {f: getattr(self, f) for f in ("r", "shape") if getattr(self, f) is not None}
+        return builder(self.scale, getattr(self, required), inst, **options)
 
 
 def _propagate(config: RunConfig) -> tuple[Schedule, Trajectory, RunResult]:
@@ -255,20 +247,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConfig:
-    """Instantiate the template at one sweep value; validates applicability.
+    """Instantiate the template at one sweep value; `cmd_sweep` checked the strategy.
 
     T is derived only from a size of at least 2; below that the point is
     left for `build` to refuse in its own row.
     """
-    strategy = template.strategy
     if variable == "epsilon":
-        if strategy != Strategy.LOCAL:
-            raise InvalidParameter("an epsilon sweep applies to the local strategy only")
         return dataclasses.replace(template, epsilon=float(x))
     if variable == "inv_gamma":
-        if strategy != Strategy.PARALLEL:
-            raise InvalidParameter(
-                "an inv_gamma sweep applies to the parallel strategy only")
         if template.epsilon is not None:
             raise InvalidParameter(
                 "--epsilon does not apply to an inv_gamma sweep; the value fixes T")
@@ -279,7 +265,7 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
     n_point = int(round(x))
     if abs(n_point - x) > 1e-9:
         raise InvalidParameter(f"an n sweep needs integer values, got {x!r}")
-    if strategy == Strategy.PARALLEL and template.T is None:
+    if template.strategy == Strategy.PARALLEL and template.T is None:
         # gamma = eps*r/2 keeps the parallel cost tied to the local one
         if template.epsilon is None:
             raise InvalidParameter(
@@ -314,7 +300,7 @@ def _default_n_values() -> list[float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n is None and args.variable != "n":
         raise InvalidParameter("--n is required unless sweeping over n")
-    flag = _SWEPT_FLAG[args.variable]
+    flag, strategy = _SWEPT[args.variable]
     if getattr(args, flag) is not None:
         raise InvalidParameter(
             f"--{flag} does not apply to an {args.variable} sweep; the values set it")
@@ -331,6 +317,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameter("--values must be strictly increasing")
     if args.jobs < 1:
         raise InvalidParameter(f"--jobs must be at least 1, got {args.jobs}")
+    if strategy not in (None, template.strategy):
+        raise InvalidParameter(
+            f"an {args.variable} sweep applies to the {strategy} strategy only")
 
     tasks = [(x, _sweep_point_config(args.variable, x, template)) for x in values]
     # increasing values give non-decreasing sizes and printed x: a repeat is adjacent

@@ -31,6 +31,7 @@ omega) only: the mean (a+b)/2 shifts both levels alike, so only
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from dataclasses import dataclass
@@ -72,6 +73,20 @@ def require_positive(name: str, value) -> float:
         if math.isfinite(number) and number > 0:
             return number
     raise InvalidParameter(f"{name} must be a positive finite number, got {value!r}")
+
+
+def require_choice(name: str, choices: type[enum.Enum], value):
+    """The member of the str enum `choices` named by a member, or by its value in any case.
+
+    Anything else (another enum's member, None, 3) raises InvalidParameter
+    naming `name` and listing the values.
+    """
+    if isinstance(value, str) and not isinstance(value, enum.Enum):
+        value = next((member for member in choices if member.value == value.lower()), value)
+    if isinstance(value, choices):
+        return value
+    values = tuple(member.value for member in choices)
+    raise InvalidParameter(f"{name} must be one of {values}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -319,8 +319,7 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
         raise NonUnit(f"norm drifted by {drift:.3e} during propagation")
 
     trajectory = Trajectory(
-        t=ts, a=np.asarray(a, float), b=np.asarray(b, float),
-        lambda_plus=lam_p, lambda_minus=lam_m, theta=theta, theta_dot=rate,
+        t=ts, a=a, b=b, lambda_plus=lam_p, lambda_minus=lam_m, theta=theta, theta_dot=rate,
         p_u=p_u, p_m=p_m, p_plus=p_plus, p_minus=p_minus, norm=norm,
     )
     estimate = partial(_half_run_estimate, schedule, steps, nodes[np.r_[0:steps:2, steps]],

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactDegenerateN, InvalidParameter
-from .model import SearchInstance, require_integer, require_positive
+from .model import SearchInstance, require_choice, require_positive
 
 
 class Strategy(str, enum.Enum):
@@ -252,10 +252,7 @@ def parallel_schedule(
     """Constant-gap schedule on the truncated window [-r*T_par/2, +r*T_par/2]."""
     beta, t_par, r = (require_positive("beta", beta), require_positive("t_par", t_par),
                       require_positive("r", r))
-    try:
-        shape = Shape(shape)
-    except ValueError as exc:
-        raise InvalidParameter(f"shape must be 'tanh' or 'erf', got {shape!r}") from exc
+    shape = require_choice("shape", Shape, shape)
     if not math.isfinite(r * t_par):
         raise InvalidParameter(f"the window r*T overflows: T={t_par!r}, r={r!r}")
     # f_dot carries 1/T, a_dot and b_dot beta/T, and the phase stays below beta*r*T
@@ -303,9 +300,7 @@ def parallel_peak_reference(beta: float, n: int) -> float:
     The maximum of a(t) is instead beta*sqrt(n/(n-1)); cost() reports
     that peak and comparisons surface both values.
     """
-    beta, n = require_positive("beta", beta), require_integer("n", n)
-    if n < 2:
-        raise InvalidParameter(f"database size must be >= 2, got n={n}")
+    beta, n = require_positive("beta", beta), SearchInstance(n).n
     return beta * (n - 2.0) / math.sqrt(n * (n - 1.0))
 
 
@@ -317,9 +312,7 @@ def equal_cost_parallel_time(epsilon: float, r: float, n: int) -> float:
     n = 2, where the reference peak vanishes.
     """
     epsilon, r = require_positive("epsilon", epsilon), require_positive("r", r)
-    n = require_integer("n", n)
-    if n < 2:
-        raise InvalidParameter(f"database size must be >= 2, got n={n}")
+    n = SearchInstance(n).n
     if n == 2:
         raise ExactDegenerateN("equal-cost matching is undefined at n = 2")
     return 2.0 * (n - 1.0) * math.sqrt(n) / ((n - 2.0) * epsilon * r)

@@ -12,7 +12,7 @@ from adiasearch.cli import RunConfig, main
 from adiasearch.errors import InvalidParameter
 from adiasearch.model import MAX_N
 from adiasearch.propagate import ORACLE_CAP
-from adiasearch.schedules import Strategy
+from adiasearch.schedules import Shape, Strategy
 
 from conftest import EPS_REF
 
@@ -33,6 +33,17 @@ class TestRunConfig:
     def test_bad_shape_rejected(self):
         with pytest.raises(InvalidParameter):
             RunConfig(strategy="parallel", n=8, T=1.0, shape="spline")
+
+    def test_enum_strategy_accepted(self):
+        config = RunConfig(Strategy.LOCAL, n=20, epsilon=0.1)
+        # stored as the plain value, which an f-string prints as the CLI name
+        assert type(config.strategy) is str and f"{config.strategy}" == "local"
+        assert config.build() == RunConfig("local", n=20, epsilon=0.1).build()
+
+    def test_enum_shape_accepted(self):
+        config = RunConfig("parallel", n=20, T=3.0, shape=Shape.ERF)
+        assert type(config.shape) is str and config.shape == "erf"
+        assert config.build() == RunConfig("parallel", n=20, T=3.0, shape="erf").build()
 
     @pytest.mark.parametrize("kwargs", [
         dict(strategy="local", n=20, epsilon=0.1, T=5.0),
@@ -441,12 +452,17 @@ class TestSweepCommand:
         assert runs == []
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_inv_gamma_requires_parallel(self, tmp_path, capsys):
-        code, _, _ = run_main(
+    def test_inv_gamma_requires_parallel(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
             ["sweep", "--strategy", "local", "--variable", "inv_gamma",
              "--values", "1", "2", "--n", "20",
              "--output", str(tmp_path / "s")], capsys)
         assert code == 2
+        assert err == "error: an inv_gamma sweep applies to the parallel strategy only\n"
+        assert runs == []
+        assert not (tmp_path / "s").exists()
 
     def test_inv_gamma_rejects_template_epsilon(self, tmp_path, capsys):
         code, _, _ = run_main(
@@ -455,12 +471,17 @@ class TestSweepCommand:
              "--output", str(tmp_path / "s")], capsys)
         assert code == 2
 
-    def test_epsilon_sweep_is_local_only(self, tmp_path, capsys):
-        code, _, _ = run_main(
+    def test_epsilon_sweep_is_local_only(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "propagate", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_main(
             ["sweep", "--strategy", "parallel", "--variable", "epsilon",
              "--values", "0.1", "0.2", "--n", "20",
              "--output", str(tmp_path / "s")], capsys)
         assert code == 2
+        assert err == "error: an epsilon sweep applies to the local strategy only\n"
+        assert runs == []
+        assert not (tmp_path / "s").exists()
 
     def test_n_sweep_default_grid(self, tmp_path, capsys):
         out = tmp_path / "grid"

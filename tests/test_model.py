@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from adiasearch.model import (
     energy_gap,
     mixing_angle,
     reduced_terms,
+    require_choice,
     require_positive,
 )
+from adiasearch.schedules import Shape, Strategy
 
 
 class TestSearchInstance:
@@ -64,6 +67,23 @@ class TestRequirePositive:
         with pytest.raises(InvalidParameter) as info:
             require_positive("x", value)
         assert str(info.value) == f"x must be a positive finite number, got {value!r}"
+
+
+class _OtherShape(str, enum.Enum):
+    ERF = "erf"
+
+
+class TestRequireChoice:
+    @pytest.mark.parametrize("value", [Shape.ERF, "erf", "ERF", "Erf"])
+    def test_member_or_value_in_any_case(self, value):
+        assert require_choice("shape", Shape, value) is Shape.ERF
+
+    # a member of another enum is refused even where its value is a choice
+    @pytest.mark.parametrize("value", [_OtherShape.ERF, Strategy.LOCAL, None, 3, "cubic"])
+    def test_refuses_by_name(self, value):
+        with pytest.raises(InvalidParameter) as info:
+            require_choice("shape", Shape, value)
+        assert str(info.value) == f"shape must be one of ('tanh', 'erf'), got {value!r}"
 
 
 class TestReducedTerms:

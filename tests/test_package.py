@@ -191,3 +191,14 @@ def test_benchmark_entry_points_resolve(monkeypatch):
     for command in commands:
         args = parser.parse_args([*command.argv, "--output", "out"])
         assert args.handler.__name__ == f"cmd_{command.argv[0]}"
+
+
+def test_strategy_table_covers_the_enum():
+    # one `cli._INPUTS` row per Strategy, built by that strategy's own
+    # builder and requiring an input it takes, so the table cannot drift
+    from adiasearch import cli, schedules
+
+    assert set(cli._INPUTS) == {strategy.value for strategy in schedules.Strategy}
+    for strategy, (builder, takes, required) in cli._INPUTS.items():
+        assert builder is getattr(schedules, f"{strategy}_schedule"), strategy
+        assert required in takes, strategy

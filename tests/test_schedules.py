@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adiasearch.errors import ExactDegenerateN, InvalidParameter
-from adiasearch.model import SearchInstance, coupling_rate, energy_gap, mixing_angle
+from adiasearch.model import MAX_N, SearchInstance, coupling_rate, energy_gap, mixing_angle
 from adiasearch.schedules import (
     Shape,
     _erf,
@@ -174,8 +174,15 @@ class TestParallelSchedule:
         assert np.max(np.abs(a + b - 2 * np.sqrt(1 - (19 / 20) * f * f))) <= 1e-12
 
     def test_rejects_bad_shape(self, inst20):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter) as info:
             parallel_schedule(1.0, 1.0, inst20, shape="cubic")
+        assert str(info.value) == "shape must be one of ('tanh', 'erf'), got 'cubic'"
+
+    @pytest.mark.parametrize("shape", ["ERF", Shape.ERF])
+    def test_shape_by_member_or_any_case(self, shape):
+        inst = SearchInstance(20)
+        assert (parallel_schedule(1.0, 3.0, inst, shape=shape)
+                == parallel_schedule(1.0, 3.0, inst, shape="erf"))
 
     def test_rejects_overflowing_window(self, inst20):
         # r*T/2 = 4e308 is inf; the message names both inputs
@@ -418,6 +425,15 @@ class TestEqualCostBookkeeping:
         with pytest.raises(InvalidParameter) as info:
             call(n)
         assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("call", [
+        lambda n: equal_cost_parallel_time(0.1, 12.0, n),
+        lambda n: parallel_peak_reference(1.0, n),
+    ], ids=["t_par", "peak"])
+    def test_size_above_max_n_refused(self, call):
+        with pytest.raises(InvalidParameter) as info:
+            call(MAX_N + 1)
+        assert str(info.value) == f"database size must be <= 9007199254740992, got n={MAX_N + 1}"
 
     @pytest.mark.parametrize("call", [
         lambda n: equal_cost_parallel_time(0.1, 12.0, n),
