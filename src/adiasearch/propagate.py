@@ -44,8 +44,12 @@ equation with classic RK4, applying H through its rank-two factors
 marked index each schedule keeps from its instance.  It takes a batch of
 schedules, one row each, concatenates their states into one flat vector
 and advances all of them in one loop over the steps, each row with its
-own window and dt; the guards are per row.  Agreement of p_m between the
-two paths validates the reduction end to end.
+own window and dt; the guards are per row.  A stage derivative takes two
+values per row, one for the row's unmarked entries and one for its
+marked entry, so each stage is held as a source of two entries per row
+and spread over the flat vector by one gather index; no derivative is
+built at full length.  Agreement of p_m between the two paths validates
+the reduction end to end.
 """
 
 from __future__ import annotations
@@ -362,6 +366,15 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     H psi = a <w|psi> |w> + b psi_m e_m, where <w|psi> |w> puts the
     slice's sum divided by n on every entry.
 
+    So a stage derivative k = -i H u is, per row, a head -i a/n <sum of
+    the slice> on every entry and a tail head - i b u_m on the marked one.
+    Each stage keeps these 2R values of R rows as its source, and
+    `gather` (the row of each entry, or R + row at a marked index) spreads
+    a scaled source over the vector: a stage state is psi + (dt/2 s)[gather]
+    and the step's update psi + (dt/6 (s1 + 2 (s2 + s3) + s4))[gather].
+    Each entry sees the floating-point operations, operands and order of
+    a derivative built at full length, so the results are the same bits.
+
     Every guard is checked before any stepping: an empty batch or `steps`
     outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
     `ORACLE_CAP` (OracleSizeExceeded).  After stepping, NonUnit names the
@@ -376,25 +389,33 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             raise OracleSizeExceeded(
                 f"row {row}: n={schedule.n} exceeds the full-propagation cap {ORACLE_CAP}")
 
+    rows = len(schedules)
     sizes = np.array([schedule.n for schedule in schedules])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    row_of = np.repeat(np.arange(len(schedules)), sizes)
     marked = starts + [schedule.marked for schedule in schedules]
     psi = np.repeat(1.0 / np.sqrt(sizes), sizes).astype(complex)
+    # entry i of the state reads its row's source: the head of the row, or
+    # the tail (row + rows) at the row's marked index
+    gather = np.repeat(np.arange(rows), sizes)
+    gather[marked] = rows + np.arange(rows)
 
     windows = np.array([schedule.window for schedule in schedules])
     dt = (windows[:, 1] - windows[:, 0]) / steps
-    full_dt = np.repeat(dt, sizes)
-    half_dt = 0.5 * full_dt
-    sixth_dt = full_dt / 6.0
+    # one dt per source entry, complex as the products promote it anyway
+    full_dt, half_dt, sixth_dt = (np.tile(x, 2).astype(complex)
+                                  for x in (dt, 0.5 * dt, dt / 6.0))
+    # the four stage sources: row r's head at r, its tail at rows + r
+    stages = np.empty((4, 2 * rows), dtype=complex)
+    s1, s2, s3, s4 = stages
+    (h1, t1), (h2, t2), (h3, t3), (h4, t4) = zip(stages[:, :rows], stages[:, rows:])
 
-    def rhs(wa, mb, state):
-        # -i H state per row, with wa = -i a / n and mb = -i b
-        out = (wa * np.add.reduceat(state, starts))[row_of]
-        out[marked] += mb * state[marked]
-        return out
+    def source(head, tail, wa, mb, u):
+        # -i H u per row, with wa = -i a / n and mb = -i b: the head
+        # wa <sum of the row's slice>, and the tail head + mb u_m
+        np.multiply(wa, np.add.reduceat(u, starts), out=head)
+        np.add(head, mb * u[marked], out=tail)
 
-    a = np.empty((2 * _FULL_BLOCK + 1, len(schedules)))
+    a = np.empty((2 * _FULL_BLOCK + 1, rows))
     b = np.empty_like(a)
     for first in range(0, steps, _FULL_BLOCK):
         block = min(_FULL_BLOCK, steps - first)
@@ -404,14 +425,15 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             if first + block == steps:
                 grid[-1] = windows[row, 1]
             a[:len(nodes), row], b[:len(nodes), row] = schedule.levels(grid)
-        wa = -1j * a / sizes
-        mb = -1j * b
+        # -i a / n and -i b at each node, one array of rows per node
+        wa = list(-1j * a[:len(nodes)] / sizes)
+        mb = list(-1j * b[:len(nodes)])
         for j in range(0, 2 * block, 2):
-            k1 = rhs(wa[j], mb[j], psi)
-            k2 = rhs(wa[j + 1], mb[j + 1], psi + half_dt * k1)
-            k3 = rhs(wa[j + 1], mb[j + 1], psi + half_dt * k2)
-            k4 = rhs(wa[j + 2], mb[j + 2], psi + full_dt * k3)
-            psi = psi + sixth_dt * (k1 + 2.0 * (k2 + k3) + k4)
+            source(h1, t1, wa[j], mb[j], psi)
+            source(h2, t2, wa[j + 1], mb[j + 1], psi + (half_dt * s1)[gather])
+            source(h3, t3, wa[j + 1], mb[j + 1], psi + (half_dt * s2)[gather])
+            source(h4, t4, wa[j + 2], mb[j + 2], psi + (full_dt * s3)[gather])
+            psi = psi + (sixth_dt * (s1 + 2.0 * (s2 + s3) + s4))[gather]
 
     results = []
     for row, schedule in enumerate(schedules):

@@ -32,7 +32,7 @@ from adiasearch.schedules import (
     parallel_schedule,
 )
 
-from conftest import EPS_REF, local_profile
+from conftest import EPS_REF, dense_rk4, local_profile
 
 
 class FrozenSchedule:
@@ -225,17 +225,30 @@ class TestBatchOracle:
         return [propagate_full([s], steps=self.STEPS)[0] for s in _mixed_batch()]
 
     def test_rows_match_batches_of_one(self, alone):
+        # each row touches only its own slice and sources, so batching
+        # changes no bit
         batch = propagate_full(_mixed_batch(), steps=self.STEPS)
         assert len(batch) == len(alone) == 9
-        for together, single in zip(batch, alone):
-            assert abs(together.p_m_final - single.p_m_final) <= 1e-14
-            assert abs(together.p_loss - single.p_loss) <= 1e-14
+        assert batch == alone
 
     def test_row_order_does_not_matter(self, alone):
         backwards = propagate_full(_mixed_batch()[::-1], steps=self.STEPS)[::-1]
-        for reversed_row, single in zip(backwards, alone):
-            assert abs(reversed_row.p_m_final - single.p_m_final) <= 1e-14
-            assert abs(reversed_row.p_loss - single.p_loss) <= 1e-14
+        assert backwards == alone
+
+    def test_matches_dense_reference(self):
+        # marks first, last and in the middle of their slices, so the gather
+        # index is checked at every slice edge
+        scheds = []
+        for n in (2, 3, 7):
+            first, last, middle = (SearchInstance(n, m) for m in (0, n - 1, n // 2))
+            scheds += [linear_schedule(1.0, 40.0 + n / 4, first),
+                       local_schedule(1.0, 0.2, last),
+                       parallel_schedule(1.0, 0.6 * math.sqrt(n), middle, r=8.0),
+                       parallel_schedule(1.0, 0.6 * math.sqrt(n), first, r=8.0, shape="erf")]
+        for sched, result in zip(scheds, propagate_full(scheds, steps=self.STEPS)):
+            p_m, p_minus = dense_rk4(sched, self.STEPS)
+            assert abs(result.p_m_final - p_m) <= 1e-13
+            assert abs(result.p_loss - min(1.0, p_minus)) <= 1e-13
 
     def test_drifting_row_is_named(self):
         scheds = [FrozenSchedule(1.0, 0.0, 16),
