@@ -48,8 +48,10 @@ own window and dt; the guards are per row.  A stage derivative takes two
 values per row, one for the row's unmarked entries and one for its
 marked entry, so each stage is held as a source of two entries per row
 and spread over the flat vector by one gather index; no derivative is
-built at full length.  Agreement of p_m between the two paths validates
-the reduction end to end.
+built at full length.  The loop's arithmetic writes into buffers made
+once per call; only the reductions and the index reads still return new
+arrays.  Agreement of p_m between the two paths validates the reduction
+end to end.
 """
 
 from __future__ import annotations
@@ -375,6 +377,11 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     Each entry sees the floating-point operations, operands and order of
     a derivative built at full length, so the results are the same bits.
 
+    The arithmetic writes into buffers made once per call (the sources,
+    the stage state `u`, one scaled source `sc` of 2R and the marked terms
+    `um` of R) and adds the update into `psi`; `np.add.reduceat`,
+    `[gather]` and `[marked]` still return new arrays.
+
     Every guard is checked before any stepping: an empty batch or `steps`
     outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
     `ORACLE_CAP` (OracleSizeExceeded).  After stepping, NonUnit names the
@@ -408,12 +415,10 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     stages = np.empty((4, 2 * rows), dtype=complex)
     s1, s2, s3, s4 = stages
     (h1, t1), (h2, t2), (h3, t3), (h4, t4) = zip(stages[:, :rows], stages[:, rows:])
-
-    def source(head, tail, wa, mb, u):
-        # -i H u per row, with wa = -i a / n and mb = -i b: the head
-        # wa <sum of the row's slice>, and the tail head + mb u_m
-        np.multiply(wa, np.add.reduceat(u, starts), out=head)
-        np.add(head, mb * u[marked], out=tail)
+    u = np.empty_like(psi)
+    sc = np.empty(2 * rows, dtype=complex)
+    um = np.empty(rows, dtype=complex)
+    add, multiply, reduceat = np.add, np.multiply, np.add.reduceat
 
     a = np.empty((2 * _FULL_BLOCK + 1, rows))
     b = np.empty_like(a)
@@ -428,12 +433,26 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
         # -i a / n and -i b at each node, one array of rows per node
         wa = list(-1j * a[:len(nodes)] / sizes)
         mb = list(-1j * b[:len(nodes)])
+        # each stage: the head wa <sum of the row's slice>, then the tail
+        # head + mb u_m; `out` is passed positionally, as the keyword costs
+        # more per call than the allocation it saves
         for j in range(0, 2 * block, 2):
-            source(h1, t1, wa[j], mb[j], psi)
-            source(h2, t2, wa[j + 1], mb[j + 1], psi + (half_dt * s1)[gather])
-            source(h3, t3, wa[j + 1], mb[j + 1], psi + (half_dt * s2)[gather])
-            source(h4, t4, wa[j + 2], mb[j + 2], psi + (full_dt * s3)[gather])
-            psi = psi + (sixth_dt * (s1 + 2.0 * (s2 + s3) + s4))[gather]
+            multiply(wa[j], reduceat(psi, starts), h1)
+            add(h1, multiply(mb[j], psi[marked], um), t1)
+            add(psi, multiply(half_dt, s1, sc)[gather], u)
+            multiply(wa[j + 1], reduceat(u, starts), h2)
+            add(h2, multiply(mb[j + 1], u[marked], um), t2)
+            add(psi, multiply(half_dt, s2, sc)[gather], u)
+            multiply(wa[j + 1], reduceat(u, starts), h3)
+            add(h3, multiply(mb[j + 1], u[marked], um), t3)
+            add(psi, multiply(full_dt, s3, sc)[gather], u)
+            multiply(wa[j + 2], reduceat(u, starts), h4)
+            add(h4, multiply(mb[j + 2], u[marked], um), t4)
+            # dt/6 (s1 + 2 (s2 + s3) + s4), in that order
+            multiply(2.0, add(s2, s3, sc), sc)
+            add(s1, sc, sc)
+            add(sc, s4, sc)
+            add(psi, multiply(sixth_dt, sc, sc)[gather], psi)
 
     results = []
     for row, schedule in enumerate(schedules):

@@ -237,7 +237,9 @@ class TestBatchOracle:
 
     def test_matches_dense_reference(self):
         # marks first, last and in the middle of their slices, so the gather
-        # index is checked at every slice edge
+        # index is checked at every slice edge; 1,500 and 2,500 steps end on a
+        # short block, whose coefficient rows are trimmed and whose grid ends
+        # at the window's end
         scheds = []
         for n in (2, 3, 7):
             first, last, middle = (SearchInstance(n, m) for m in (0, n - 1, n // 2))
@@ -245,10 +247,40 @@ class TestBatchOracle:
                        local_schedule(1.0, 0.2, last),
                        parallel_schedule(1.0, 0.6 * math.sqrt(n), middle, r=8.0),
                        parallel_schedule(1.0, 0.6 * math.sqrt(n), first, r=8.0, shape="erf")]
-        for sched, result in zip(scheds, propagate_full(scheds, steps=self.STEPS)):
-            p_m, p_minus = dense_rk4(sched, self.STEPS)
-            assert abs(result.p_m_final - p_m) <= 1e-13
-            assert abs(result.p_loss - min(1.0, p_minus)) <= 1e-13
+        for steps in (self.STEPS, 1500, 2500):
+            for sched, result in zip(scheds, propagate_full(scheds, steps=steps)):
+                p_m, p_minus = dense_rk4(sched, steps)
+                assert abs(result.p_m_final - p_m) <= 1e-13
+                assert abs(result.p_loss - min(1.0, p_minus)) <= 1e-13
+
+    def test_bits_of_every_kind(self):
+        # float.hex of each RunResult field, recorded from the loop before
+        # its stage buffers were preallocated; erf rows, which `check` never
+        # runs, included
+        expected = [
+            ("0x1.ffe137657ae06p-1", "0x1.ec8976dd78c5bp-13", "0x1.8ba4100000000p-33"),
+            ("0x1.f4a0e884f6366p-1", "0x1.6be2ef613401fp-6", "0x1.4d00000000000p-45"),
+            ("0x1.b79edf2a4a4f0p-1", "0x1.21641d482202fp-3", "0x1.6e00000000000p-44"),
+            ("0x1.9282bb886618fp-1", "0x1.b5f511a046b4fp-3", "0x1.4d00000000000p-44"),
+            ("0x1.ff0bd3932a339p-1", "0x1.e858d50ab23cdp-10", "0x1.2839b00000000p-33"),
+            ("0x1.f904a4441a7e9p-1", "0x1.bed6eef82bbc7p-7", "0x1.34a8000000000p-40"),
+            ("0x1.a98fee5bcb197p-1", "0x1.5953c4ee8aa83p-3", "0x1.0900000000000p-42"),
+            ("0x1.6f9c3a446d977p-1", "0x1.20c78b062909ap-2", "0x1.c3c0000000000p-43"),
+            ("0x1.fcd97e3db5d6bp-2", "0x1.019340d8e8b64p-1", "0x1.078bd40000000p-31"),
+            ("0x1.f0904a47cde40p-1", "0x1.edf6b568a6859p-6", "0x1.9d9cfc0000000p-31"),
+            ("0x1.ccf4e0a82e441p-1", "0x1.9509771f682a3p-4", "0x1.06ab000000000p-34"),
+            ("0x1.970de92a9965ep-1", "0x1.a3c8571669a06p-3", "0x1.a0fbc00000000p-35"),
+        ]
+        scheds = []
+        for n in (2, 5, 64):
+            inst = SearchInstance(n, n // 3)
+            scheds += [linear_schedule(1.0, 40.0 + n / 4, inst),
+                       local_schedule(1.0, 0.2, inst),
+                       parallel_schedule(1.0, 0.6 * math.sqrt(n), inst, r=8.0),
+                       parallel_schedule(1.0, 0.6 * math.sqrt(n), inst, r=8.0, shape="erf")]
+        got = [(r.p_m_final.hex(), r.p_loss.hex(), r.norm_drift.hex())
+               for r in propagate_full(scheds, steps=2500)]
+        assert got == expected
 
     def test_drifting_row_is_named(self):
         scheds = [FrozenSchedule(1.0, 0.0, 16),
