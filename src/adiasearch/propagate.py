@@ -48,10 +48,11 @@ own window and dt; the guards are per row.  A stage derivative takes two
 values per row, one for the row's unmarked entries and one for its
 marked entry, so each stage is held as a source of two entries per row
 and spread over the flat vector by one gather index; no derivative is
-built at full length.  The loop's arithmetic writes into buffers made
-once per call; only the reductions and the index reads still return new
-arrays.  Agreement of p_m between the two paths validates the reduction
-end to end.
+built at full length.  One `np.add.reduceat` per stage reads both what
+a source needs, every row's marked entry and every row's slice sum.  The
+loop's arithmetic writes into buffers made once per call; only that
+read and the gather still return new arrays.  Agreement of p_m between
+the two paths validates the reduction end to end.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
     )
     estimate = partial(_half_run_estimate, schedule, steps, nodes[np.r_[0:steps:2, steps]],
                        c_u0, c_m0, theta[-1], p_m[-1], p_minus[-1])
-    result = RunResult(float(p_m[-1]), min(1.0, float(p_minus[-1])), drift, estimate)
+    result = RunResult(min(1.0, float(p_m[-1])), min(1.0, float(p_minus[-1])), drift, estimate)
     return trajectory, result
 
 
@@ -369,18 +370,26 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     slice's sum divided by n on every entry.
 
     So a stage derivative k = -i H u is, per row, a head -i a/n <sum of
-    the slice> on every entry and a tail head - i b u_m on the marked one.
-    Each stage keeps these 2R values of R rows as its source, and
-    `gather` (the row of each entry, or R + row at a marked index) spreads
-    a scaled source over the vector: a stage state is psi + (dt/2 s)[gather]
-    and the step's update psi + (dt/6 (s1 + 2 (s2 + s3) + s4))[gather].
-    Each entry sees the floating-point operations, operands and order of
-    a derivative built at full length, so the results are the same bits.
+    the slice> on every entry and a tail -i b u_m + head on the marked one.
+    Each stage keeps these 2R values of R rows as its source: the tails,
+    last row first, then the heads.  One `np.add.reduceat(u, reads)` with
+    `reads` = (marked[::-1], starts) returns the values they scale in the
+    same layout: a mark is followed by a lower index (the next mark down,
+    or starts[0] = 0 after the first row's), so it is read alone, and
+    each start sums its row's slice.  One row of coefficients per node,
+    (-i b reversed, -i a/n), scales the read into the source, and each
+    tail then adds its row's head.  `gather` (R + row on a row's entries,
+    R - 1 - row at its marked index) spreads a scaled source over the
+    vector: a stage state is psi + (dt/2 s)[gather] and the step's update
+    psi + (dt/6 (s1 + 2 (s2 + s3) + s4))[gather].  Each entry sees the
+    floating-point operations and operands of a derivative built at full
+    length, in its order up to the commuted sum of the tail, so the
+    results are the same bits.
 
-    The arithmetic writes into buffers made once per call (the sources,
-    the stage state `u`, one scaled source `sc` of 2R and the marked terms
-    `um` of R) and adds the update into `psi`; `np.add.reduceat`,
-    `[gather]` and `[marked]` still return new arrays.
+    A step makes 28 NumPy calls.  The arithmetic writes into buffers made
+    once per call (the sources, the coefficients, the stage state `u` and
+    one scaled source `sc`) and adds the update into `psi`; only the four
+    `np.add.reduceat` and the four `[gather]` return new arrays.
 
     Every guard is checked before any stepping: an empty batch or `steps`
     outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
@@ -400,28 +409,30 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     sizes = np.array([schedule.n for schedule in schedules])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     marked = starts + [schedule.marked for schedule in schedules]
+    reads = np.concatenate((marked[::-1], starts))
     psi = np.repeat(1.0 / np.sqrt(sizes), sizes).astype(complex)
-    # entry i of the state reads its row's source: the head of the row, or
-    # the tail (row + rows) at the row's marked index
-    gather = np.repeat(np.arange(rows), sizes)
-    gather[marked] = rows + np.arange(rows)
+    gather = np.repeat(np.arange(rows, 2 * rows), sizes)
+    gather[marked] = np.arange(rows - 1, -1, -1)
 
     windows = np.array([schedule.window for schedule in schedules])
     dt = (windows[:, 1] - windows[:, 0]) / steps
-    # one dt per source entry, complex as the products promote it anyway
-    full_dt, half_dt, sixth_dt = (np.tile(x, 2).astype(complex)
-                                  for x in (dt, 0.5 * dt, dt / 6.0))
-    # the four stage sources: row r's head at r, its tail at rows + r
+    # one dt, and the update's factor 2, per source entry: complex, as the
+    # products promote them anyway, and an array, as a Python scalar operand
+    # costs a ufunc call more than the whole product on 2R entries
+    full_dt, half_dt, sixth_dt, two = (np.concatenate((x[::-1], x)).astype(complex)
+                                       for x in (dt, 0.5 * dt, dt / 6.0, np.full(rows, 2.0)))
+    # the four stage sources, with views of their tails and reversed heads
     stages = np.empty((4, 2 * rows), dtype=complex)
     s1, s2, s3, s4 = stages
-    (h1, t1), (h2, t2), (h3, t3), (h4, t4) = zip(stages[:, :rows], stages[:, rows:])
+    (t1, h1), (t2, h2), (t3, h3), (t4, h4) = zip(stages[:, :rows], stages[:, rows:][:, ::-1])
     u = np.empty_like(psi)
     sc = np.empty(2 * rows, dtype=complex)
-    um = np.empty(rows, dtype=complex)
     add, multiply, reduceat = np.add, np.multiply, np.add.reduceat
 
     a = np.empty((2 * _FULL_BLOCK + 1, rows))
     b = np.empty_like(a)
+    # per node, the coefficients of the reads: -i b, last row first, then -i a / n
+    coef = np.empty((2 * _FULL_BLOCK + 1, 2 * rows), dtype=complex)
     for first in range(0, steps, _FULL_BLOCK):
         block = min(_FULL_BLOCK, steps - first)
         nodes = np.arange(2 * first, 2 * (first + block) + 1)
@@ -430,26 +441,27 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             if first + block == steps:
                 grid[-1] = windows[row, 1]
             a[:len(nodes), row], b[:len(nodes), row] = schedule.levels(grid)
-        # -i a / n and -i b at each node, one array of rows per node
-        wa = list(-1j * a[:len(nodes)] / sizes)
-        mb = list(-1j * b[:len(nodes)])
-        # each stage: the head wa <sum of the row's slice>, then the tail
-        # head + mb u_m; `out` is passed positionally, as the keyword costs
-        # more per call than the allocation it saves
+        multiply(-1j, b[:len(nodes), ::-1], coef[:len(nodes), :rows])
+        heads = multiply(-1j, a[:len(nodes)], coef[:len(nodes), rows:])
+        np.divide(heads, sizes, heads)
+        c = list(coef[:len(nodes)])
+        # each stage: the reads times their coefficients, then each tail
+        # -i b u_m plus its row's head; `out` is passed positionally, as the
+        # keyword costs more per call than the allocation it saves
         for j in range(0, 2 * block, 2):
-            multiply(wa[j], reduceat(psi, starts), h1)
-            add(h1, multiply(mb[j], psi[marked], um), t1)
+            multiply(c[j], reduceat(psi, reads), s1)
+            add(t1, h1, t1)
             add(psi, multiply(half_dt, s1, sc)[gather], u)
-            multiply(wa[j + 1], reduceat(u, starts), h2)
-            add(h2, multiply(mb[j + 1], u[marked], um), t2)
+            multiply(c[j + 1], reduceat(u, reads), s2)
+            add(t2, h2, t2)
             add(psi, multiply(half_dt, s2, sc)[gather], u)
-            multiply(wa[j + 1], reduceat(u, starts), h3)
-            add(h3, multiply(mb[j + 1], u[marked], um), t3)
+            multiply(c[j + 1], reduceat(u, reads), s3)
+            add(t3, h3, t3)
             add(psi, multiply(full_dt, s3, sc)[gather], u)
-            multiply(wa[j + 2], reduceat(u, starts), h4)
-            add(h4, multiply(mb[j + 2], u[marked], um), t4)
+            multiply(c[j + 2], reduceat(u, reads), s4)
+            add(t4, h4, t4)
             # dt/6 (s1 + 2 (s2 + s3) + s4), in that order
-            multiply(2.0, add(s2, s3, sc), sc)
+            multiply(two, add(s2, s3, sc), sc)
             add(s1, sc, sc)
             add(sc, s4, sc)
             add(psi, multiply(sixth_dt, sc, sc)[gather], psi)
@@ -466,7 +478,7 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
         c_u = (state.sum() - c_m) / math.sqrt(n - 1.0)
         a_f, b_f = schedule.levels(schedule.window[1])
         _, p_minus = model.adiabatic_populations(model.mixing_angle(a_f, b_f, n), c_u, c_m)
-        results.append(RunResult(float(abs(c_m) ** 2), min(1.0, float(p_minus)), drift))
+        results.append(RunResult(min(1.0, float(abs(c_m) ** 2)), min(1.0, float(p_minus)), drift))
     return results
 
 

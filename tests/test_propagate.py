@@ -282,6 +282,34 @@ class TestBatchOracle:
                for r in propagate_full(scheds, steps=2500)]
         assert got == expected
 
+    @pytest.mark.parametrize("layout", [
+        ((5, 4), (6, 0), (3, 2), (2, 0)),
+        ((4, 0),),
+        ((4, 3),),
+        ((2, 0), (2, 1), (2, 1), (2, 0)),
+    ], ids=["marks-adjacent", "one-row-first", "one-row-last", "n-2"])
+    def test_read_layouts(self, layout):
+        # one reduceat reads the marks, last row first, then the slice sums;
+        # the layouts put marks side by side in the flat state (row marked
+        # last, then a row marked first), read index 0 twice (a one-row
+        # batch marked at 0) and hold two-entry slices.  Each row, alone and
+        # between two other rows, gives the same bits as in the batch, and
+        # agrees with the dense reference.
+        builders = [lambda inst: linear_schedule(1.0, 40.0 + inst.n / 4, inst),
+                    lambda inst: local_schedule(1.0, 0.2, inst),
+                    lambda inst: parallel_schedule(1.0, 0.6 * math.sqrt(inst.n), inst, r=8.0),
+                    lambda inst: parallel_schedule(1.0, 0.6 * math.sqrt(inst.n), inst, r=8.0,
+                                                   shape="erf")]
+        scheds = [builders[i % 4](SearchInstance(n, m)) for i, (n, m) in enumerate(layout)]
+        pad = local_schedule(1.0, 0.2, SearchInstance(3, 1))
+        batch = propagate_full(scheds, steps=self.STEPS)
+        for sched, result in zip(scheds, batch):
+            assert propagate_full([sched], steps=self.STEPS) == [result]
+            assert propagate_full([pad, sched, pad], steps=self.STEPS)[1] == result
+            p_m, p_minus = dense_rk4(sched, self.STEPS)
+            assert abs(result.p_m_final - p_m) <= 1e-13
+            assert abs(result.p_loss - min(1.0, p_minus)) <= 1e-13
+
     def test_drifting_row_is_named(self):
         scheds = [FrozenSchedule(1.0, 0.0, 16),
                   FrozenSchedule(1.0, 0.0, 16, t_total=1000.0)]
@@ -592,6 +620,13 @@ class TestRunResult:
         read = pickle.loads(pickle.dumps(result))
         assert unread == result == read
         assert unread.error_estimate == estimate == read.error_estimate
+
+    def test_p_m_final_is_a_probability(self):
+        # this run's final norm rounds just above 1, and |amp_m|^2 read
+        # 1.0000000000000004 before it was clamped as p_loss is
+        sched = linear_schedule(1.0, 568.631, SearchInstance(17, 5))
+        _, result = propagate(sched, steps=6000)
+        assert result.p_m_final <= 1.0
 
     def test_full_results_carry_no_estimate(self, inst4):
         [full] = propagate_full([local_schedule(1.0, 0.2, inst4)], steps=1000)
