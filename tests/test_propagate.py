@@ -283,18 +283,17 @@ class TestBatchOracle:
         assert got == expected
 
     @pytest.mark.parametrize("layout", [
-        ((5, 4), (6, 0), (3, 2), (2, 0)),
-        ((4, 0),),
-        ((4, 3),),
-        ((2, 0), (2, 1), (2, 1), (2, 0)),
-    ], ids=["marks-adjacent", "one-row-first", "one-row-last", "n-2"])
+        ((2, 1), (2, 0)),
+        ((5, 0),),
+        ((5, 4),),
+    ], ids=["n-2-marks-adjacent", "one-row-first", "one-row-last"])
     def test_read_layouts(self, layout):
         # one reduceat reads the marks, last row first, then the slice sums;
-        # the layouts put marks side by side in the flat state (row marked
-        # last, then a row marked first), read index 0 twice (a one-row
-        # batch marked at 0) and hold two-entry slices.  Each row, alone and
-        # between two other rows, gives the same bits as in the batch, and
-        # agrees with the dense reference.
+        # the layouts hold two-entry slices whose marks sit side by side in
+        # the flat state (a row marked last, then a row marked first), read
+        # index 0 twice (a one-row batch marked at 0) and end a batch on its
+        # mark.  Each row, alone and between two other rows, gives the same
+        # bits as in the batch, and agrees with the dense reference.
         builders = [lambda inst: linear_schedule(1.0, 40.0 + inst.n / 4, inst),
                     lambda inst: local_schedule(1.0, 0.2, inst),
                     lambda inst: parallel_schedule(1.0, 0.6 * math.sqrt(inst.n), inst, r=8.0),
@@ -627,6 +626,14 @@ class TestRunResult:
         sched = linear_schedule(1.0, 568.631, SearchInstance(17, 5))
         _, result = propagate(sched, steps=6000)
         assert result.p_m_final <= 1.0
+
+    def test_full_p_m_final_is_a_probability(self):
+        # constant couplings a = b = 1 carry |s> onto |m> at t = pi sqrt(n) / 2;
+        # at n = 2 and 6,000 steps RK4's |c_m|^2 read 0x1.0000000000038p+0
+        # before it was clamped as p_loss is
+        sched = FrozenSchedule(1.0, 1.0, 2, t_total=math.pi * math.sqrt(2) / 2)
+        [full] = propagate_full([sched], steps=6000)
+        assert full.p_m_final <= 1.0
 
     def test_full_results_carry_no_estimate(self, inst4):
         [full] = propagate_full([local_schedule(1.0, 0.2, inst4)], steps=1000)
