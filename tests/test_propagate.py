@@ -620,20 +620,17 @@ class TestRunResult:
         assert unread == result == read
         assert unread.error_estimate == estimate == read.error_estimate
 
-    def test_p_m_final_is_a_probability(self):
-        # this run's final norm rounds just above 1, and |amp_m|^2 read
-        # 1.0000000000000004 before it was clamped as p_loss is
-        sched = linear_schedule(1.0, 568.631, SearchInstance(17, 5))
-        _, result = propagate(sched, steps=6000)
-        assert result.p_m_final <= 1.0
-
-    def test_full_p_m_final_is_a_probability(self):
-        # constant couplings a = b = 1 carry |s> onto |m> at t = pi sqrt(n) / 2;
-        # at n = 2 and 6,000 steps RK4's |c_m|^2 read 0x1.0000000000038p+0
+    @pytest.mark.parametrize("run", [
+        lambda: propagate(linear_schedule(1.0, 568.631, SearchInstance(17, 5)), steps=6000)[1],
+        lambda: propagate_full([FrozenSchedule(1.0, 1.0, 2, t_total=math.pi * math.sqrt(2) / 2)],
+                               steps=6000)[0],
+    ], ids=["reduced", "full"])
+    def test_p_m_final_is_a_probability(self, run):
+        # each run's final norm rounds just above 1, and |c_m|^2 read
+        # 1.0000000000000004 (reduced) and 0x1.0000000000038p+0 (full RK4:
+        # constant couplings a = b = 1 carry |s> onto |m> at t = pi sqrt(n) / 2)
         # before it was clamped as p_loss is
-        sched = FrozenSchedule(1.0, 1.0, 2, t_total=math.pi * math.sqrt(2) / 2)
-        [full] = propagate_full([sched], steps=6000)
-        assert full.p_m_final <= 1.0
+        assert run().p_m_final <= 1.0
 
     def test_full_results_carry_no_estimate(self, inst4):
         [full] = propagate_full([local_schedule(1.0, 0.2, inst4)], steps=1000)
