@@ -32,11 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, schedules
-from .errors import AdiabaticSearchError, InvalidParameter
+from .errors import AdiabaticSearchError, InvalidParameter, OracleSizeExceeded
 from .model import SearchInstance, require_choice, require_integer, require_positive
 from .propagate import (
     DEFAULT_FULL_STEPS,
     DEFAULT_STEPS,
+    ORACLE_CAP,
     RunResult,
     Trajectory,
     _require_steps,
@@ -94,10 +95,10 @@ def _seed_state(seed: int) -> list[int]:
 class _Generator:
     """NumPy's `default_rng(seed).integers(0, n)`, draw for draw, in pure Python.
 
-    `check` draws three marked indices; `numpy.random` would cost its
-    process ~5.5 MiB.  `_seed_state` seeds PCG64 (128-bit LCG, XSL-RR
-    output) as NumPy does, and `integers` is NumPy's Lemire draw: on
-    32-bit halves of the output words for n <= 2**32, on whole words above.
+    `check` draws its marked indices, 2 <= n <= `ORACLE_CAP`; `numpy.random`
+    would cost its process ~5.5 MiB.  `_seed_state` seeds PCG64 (128-bit LCG,
+    XSL-RR output) as NumPy does, and `integers` is NumPy's Lemire draw on
+    32-bit halves of the output words: exact up to n = 2**32, endless above.
     """
 
     _MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -110,29 +111,25 @@ class _Generator:
         self._state = (start * self._MULT + self._inc) & _M128
         self._half = None  # the upper half of a word whose lower half was drawn
 
-    def _next64(self) -> int:
-        self._state = (self._state * self._MULT + self._inc) & _M128
-        word, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
-        return (word >> rot | word << (64 - rot)) & _M64
-
     def _next32(self) -> int:
         if self._half is not None:
             word, self._half = self._half, None
             return word
-        word = self._next64()
+        self._state = (self._state * self._MULT + self._inc) & _M128
+        word, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
+        word = (word >> rot | word << (64 - rot)) & _M64
         self._half = word >> 32
         return word & _M32
 
     def integers(self, n: int) -> int:
-        """A uniform draw from [0, n), n >= 2."""
+        """A uniform draw from [0, n), 2 <= n <= 2**32."""
         # at n = 2**32 NumPy returns the 32-bit word itself, as this step does
-        bits, draw = (32, self._next32) if n <= 2**32 else (64, self._next64)
-        m = draw() * n
-        if m & (1 << bits) - 1 < n:
-            threshold = (2**bits - n) % n
-            while m & (1 << bits) - 1 < threshold:
-                m = draw() * n
-        return m >> bits
+        m = self._next32() * n
+        if m & _M32 < n:
+            threshold = (2**32 - n) % n
+            while m & _M32 < threshold:
+                m = self._next32() * n
+        return m >> 32
 
 
 @dataclass
@@ -392,37 +389,36 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if not args.n_list:
-        raise InvalidParameter("--n-list must be non-empty")
     if min(args.n_list) < 2:
         raise InvalidParameter(f"--n-list values must be at least 2, got {min(args.n_list)}")
     if args.seed < 0:
         raise InvalidParameter(f"--seed must be non-negative, got {args.seed}")
     tolerance = require_positive("--tolerance", args.tolerance)
-    for n in args.n_list:
-        SearchInstance(n)  # a size above MAX_N exits 2 here, before the draw
+    _require_steps(args.full_steps, "--full-steps")
+    for n in args.n_list:  # every size is refused before the first draw
+        SearchInstance(n)  # a size above MAX_N exits 2 by its own message
+        if n > ORACLE_CAP:
+            raise OracleSizeExceeded(f"n={n} exceeds the full-propagation cap {ORACLE_CAP}")
     rng = _Generator(args.seed)
-    configs = []
+    batch = []
     for n in args.n_list:
         marked = rng.integers(n)
         # short windows keep the full-space RK4 cheap; equivalence must hold anyway
-        configs += [
+        batch += [config.build() for config in (
             RunConfig("linear", n=n, marked=marked, T=50.0, steps=args.steps),
             RunConfig("local", n=n, marked=marked, epsilon=0.2, steps=args.steps),
             RunConfig("parallel", n=n, marked=marked, T=0.6 * math.sqrt(n), r=8.0,
                       steps=args.steps),
-        ]
-    batch = [config.build() for config in configs]
-    _require_steps(args.full_steps, "--full-steps")
-    # one oracle call for every entry; its guards run before any propagation
+        )]
+    # one oracle call for every entry
     fulls = propagate_full(batch, steps=args.full_steps)
     entries = []
-    for config, schedule, full in zip(configs, batch, fulls):
+    for schedule, full in zip(batch, fulls):
         _, reduced = propagate(schedule, steps=args.steps)
         entries.append({
-            "n": config.n,
-            "marked": config.marked,
-            "strategy": config.strategy,
+            "n": schedule.n,
+            "marked": schedule.marked,
+            "strategy": schedule.kind.value,
             "p_m_reduced": reduced.p_m_final,
             "p_m_full": full.p_m_final,
             "delta": abs(reduced.p_m_final - full.p_m_final),
@@ -499,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                          help="reduced-propagation steps")
     check_p.add_argument("--full-steps", type=int, default=DEFAULT_FULL_STEPS,
-                         help="full-space RK4 steps")
+                         help="full-space RK4 steps (the default --n-list needs ~2000)")
     check_p.add_argument("--tolerance", type=float, default=CHECK_TOLERANCE)
     check_p.add_argument("--output", default=".")
     check_p.set_defaults(handler=cmd_check)

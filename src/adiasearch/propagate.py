@@ -50,9 +50,9 @@ marked entry, so each stage is held as a source of two entries per row
 and spread over the flat vector by one gather index; no derivative is
 built at full length.  One `np.add.reduceat` per stage reads both what
 a source needs, every row's marked entry and every row's slice sum.  The
-loop's arithmetic writes into buffers made once per call; only that
-read and the gather still return new arrays.  Agreement of p_m between
-the two paths validates the reduction end to end.
+step loop's arithmetic writes into buffers made once per call; only that
+read and the gather return new arrays.  Agreement of p_m between the two
+paths validates the reduction end to end.
 """
 
 from __future__ import annotations
@@ -378,13 +378,15 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     or starts[0] = 0 after the first row's), so it is read alone, and
     each start sums its row's slice.  One row of coefficients per node,
     (-i b reversed, -i a/n), scales the read into the source, and each
-    tail then adds its row's head.  `gather` (R + row on a row's entries,
-    R - 1 - row at its marked index) spreads a scaled source over the
-    vector: a stage state is psi + (dt/2 s)[gather] and the step's update
-    psi + (dt/6 (s1 + 2 (s2 + s3) + s4))[gather].  Each entry sees the
-    floating-point operations and operands of a derivative built at full
-    length, in its order up to the commuted sum of the tail, so the
-    results are the same bits.
+    tail then adds its row's head; each schedule writes its two columns
+    of it straight from its own `levels`.  `gather` (R + row on a row's
+    entries, R - 1 - row at its marked index) spreads a scaled source over
+    the vector: a stage state is psi + (dt/2 s)[gather] and the step's update
+    psi + (dt/6 (s1 + 2 (s2 + s3) + s4))[gather], the factor 2 taken as
+    x + x, which is exact as 2x is.  Each entry sees the floating-point
+    operations and operands of a derivative built at full length, in its
+    order up to the commuted sum of the tail, so the results are the same
+    bits.
 
     A step makes 28 NumPy calls.  The arithmetic writes into buffers made
     once per call (the sources, the coefficients, the stage state `u` and
@@ -416,11 +418,11 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
     windows = np.array([schedule.window for schedule in schedules])
     dt = (windows[:, 1] - windows[:, 0]) / steps
-    # one dt, and the update's factor 2, per source entry: complex, as the
-    # products promote them anyway, and an array, as a Python scalar operand
-    # costs a ufunc call more than the whole product on 2R entries
-    full_dt, half_dt, sixth_dt, two = (np.concatenate((x[::-1], x)).astype(complex)
-                                       for x in (dt, 0.5 * dt, dt / 6.0, np.full(rows, 2.0)))
+    # one dt per source entry: complex, as the products promote them anyway,
+    # and an array, as a Python scalar operand costs a ufunc call more than
+    # the whole product on 2R entries
+    full_dt, half_dt, sixth_dt = (np.concatenate((x[::-1], x)).astype(complex)
+                                  for x in (dt, 0.5 * dt, dt / 6.0))
     # the four stage sources, with views of their tails and reversed heads
     stages = np.empty((4, 2 * rows), dtype=complex)
     s1, s2, s3, s4 = stages
@@ -429,8 +431,6 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     sc = np.empty(2 * rows, dtype=complex)
     add, multiply, reduceat = np.add, np.multiply, np.add.reduceat
 
-    a = np.empty((2 * _FULL_BLOCK + 1, rows))
-    b = np.empty_like(a)
     # per node, the coefficients of the reads: -i b, last row first, then -i a / n
     coef = np.empty((2 * _FULL_BLOCK + 1, 2 * rows), dtype=complex)
     for first in range(0, steps, _FULL_BLOCK):
@@ -440,10 +440,9 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             grid = windows[row, 0] + nodes * (0.5 * dt[row])
             if first + block == steps:
                 grid[-1] = windows[row, 1]
-            a[:len(nodes), row], b[:len(nodes), row] = schedule.levels(grid)
-        multiply(-1j, b[:len(nodes), ::-1], coef[:len(nodes), :rows])
-        heads = multiply(-1j, a[:len(nodes)], coef[:len(nodes), rows:])
-        np.divide(heads, sizes, heads)
+            a, b = schedule.levels(grid)
+            coef[:len(nodes), rows - 1 - row] = -1j * b
+            coef[:len(nodes), rows + row] = -1j * a / schedule.n
         c = list(coef[:len(nodes)])
         # each stage: the reads times their coefficients, then each tail
         # -i b u_m plus its row's head; `out` is passed positionally, as the
@@ -461,7 +460,8 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             multiply(c[j + 2], reduceat(u, reads), s4)
             add(t4, h4, t4)
             # dt/6 (s1 + 2 (s2 + s3) + s4), in that order
-            multiply(two, add(s2, s3, sc), sc)
+            add(s2, s3, sc)
+            add(sc, sc, sc)  # x + x is exact, as 2 x is
             add(s1, sc, sc)
             add(sc, s4, sc)
             add(psi, multiply(sixth_dt, sc, sc)[gather], psi)
