@@ -26,7 +26,10 @@ halving over aligned blocks is a subtree of halving over the whole
 array; identity pads multiply exactly, and the cdf is one cumsum over
 the blocks' cell masses, so the blocks change no output bit.  The
 internal samples read a and b only (`Schedule.levels`); only the ~2001
-trajectory rows call `Schedule.couplings` for the rates.
+trajectory rows call `Schedule.couplings` for the rates, and they are
+built on the first read of a column (`Trajectory`): the result reads the
+last row's mixing angle from the last node alone, so a run whose
+trajectory nobody reads samples no rates.
 
 The nodes are not uniform in t: they sit at equal increments of phase,
 rotation and relative gap change (`_phase_grid`, three coarse passes of
@@ -58,7 +61,7 @@ paths validates the reduction end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -99,29 +102,73 @@ _EPS = float(np.finfo(float).eps)
 _FULL_BLOCK = 1000
 
 
+class _Row:
+    """A trajectory column that `Trajectory._rows` builds, with the other
+    such columns, on first read.  The instance keeps them all in its
+    `__dict__`, which a non-data descriptor defers to, so later reads are
+    plain attribute reads."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, trajectory, owner=None):
+        if trajectory is None:
+            return self
+        trajectory.__dict__.update(trajectory._rows())
+        return trajectory.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled run history; column arrays share one length and t increases."""
+    """Sampled run history; column arrays share one length and t increases.
 
-    t: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    theta: np.ndarray
-    theta_dot: np.ndarray
+    `propagate` computes `p_u`, `p_m` and `norm`, which its result and its
+    norm guard read.  The other columns (the sample times, the couplings,
+    eigenvalues, mixing angle and rate there, and the adiabatic
+    populations) are built from the schedule, the nodes and the sampled
+    amplitudes when one of them is first read, and kept: a caller that
+    reads only the RunResult never samples the rates.
+    """
+
     p_u: np.ndarray
     p_m: np.ndarray
-    p_plus: np.ndarray
-    p_minus: np.ndarray
     norm: np.ndarray
+    _schedule: Schedule
+    _nodes: np.ndarray
+    _every: int
+    _amp_u: np.ndarray
+    _amp_m: np.ndarray
+
+    t = _Row()
+    a = _Row()
+    b = _Row()
+    lambda_plus = _Row()
+    lambda_minus = _Row()
+    theta = _Row()
+    theta_dot = _Row()
+    p_plus = _Row()
+    p_minus = _Row()
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.p_u)
+
+    def _rows(self) -> dict:
+        """The deferred columns, sampled every `_every` nodes and at the last."""
+        schedule, n = self._schedule, self._schedule.n
+        steps = len(self._nodes) - 1
+        t = self._nodes[np.r_[0:steps:self._every, steps]]
+        a, b, a_dot, b_dot = schedule.couplings(t)
+        lambda_plus, lambda_minus = model.eigenvalues(a, b, n)
+        theta = model.mixing_angle(a, b, n)
+        p_plus, p_minus = model.adiabatic_populations(theta, self._amp_u, self._amp_m)
+        return dict(t=t, a=a, b=b, lambda_plus=lambda_plus, lambda_minus=lambda_minus,
+                    theta=theta, theta_dot=model.coupling_rate(a, b, a_dot, b_dot, n),
+                    p_plus=p_plus, p_minus=p_minus)
 
 
-# the trajectory.csv header: the Trajectory fields, in order
-TRAJECTORY_COLUMNS = tuple(field.name for field in fields(Trajectory))
+# the trajectory.csv header
+TRAJECTORY_COLUMNS = ("t", "a", "b", "lambda_plus", "lambda_minus", "theta", "theta_dot",
+                      "p_u", "p_m", "p_plus", "p_minus", "norm")
 
 
 @dataclass(frozen=True)
@@ -296,7 +343,8 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
 
     `steps` Magnus-4 steps (`MIN_STEPS` to `MAX_STEPS`) on the phase grid, at the
     schedule's own n; the trajectory is sampled every max(1, steps // 2000)
-    steps (about 2000 samples) and always includes both endpoints.
+    steps (about 2000 samples) and always includes both endpoints.  Its
+    p_u, p_m and norm columns are computed here; the others on first read.
     """
     steps = _require_steps(steps, "steps")
     every = max(1, steps // 2000)
@@ -311,39 +359,37 @@ def propagate(schedule: Schedule, steps: int = DEFAULT_STEPS) -> tuple[Trajector
     amp_u, amp_m = _running_products(np.concatenate(([c_u0], alpha)),
                                      np.concatenate(([c_m0], beta)))
 
-    ts = nodes[np.r_[0:steps:every, steps]]
-    a, b, a_dot, b_dot = schedule.couplings(ts)
-    lam_p, lam_m = model.eigenvalues(a, b, n)
-    theta = model.mixing_angle(a, b, n)
-    rate = model.coupling_rate(a, b, a_dot, b_dot, n)
     p_u = np.abs(amp_u) ** 2
     p_m = np.abs(amp_m) ** 2
     norm = np.sqrt(p_u + p_m)
-    p_plus, p_minus = model.adiabatic_populations(theta, amp_u, amp_m)
 
     drift = float(np.max(np.abs(norm - 1.0)))
     if not drift <= 1e-9:  # a NaN norm fails too
         raise NonUnit(f"norm drifted by {drift:.3e} during propagation")
 
-    trajectory = Trajectory(
-        t=ts, a=a, b=b, lambda_plus=lam_p, lambda_minus=lam_m, theta=theta, theta_dot=rate,
-        p_u=p_u, p_m=p_m, p_plus=p_plus, p_minus=p_minus, norm=norm,
-    )
-    estimate = partial(_half_run_estimate, schedule, steps, nodes[np.r_[0:steps:2, steps]],
-                       c_u0, c_m0, theta[-1], p_m[-1], p_minus[-1])
-    result = RunResult(min(1.0, float(p_m[-1])), min(1.0, float(p_minus[-1])), drift, estimate)
+    # the last row's mixing angle and p_minus, by the operations that build
+    # that row of the trajectory's columns, so the result reads their bits
+    # without the rows being built
+    theta = model.mixing_angle(*schedule.levels(nodes[-1:]), n)
+    _, p_minus = model.adiabatic_populations(theta, amp_u[-1:], amp_m[-1:])
+    trajectory = Trajectory(p_u, p_m, norm, schedule, nodes, every, amp_u, amp_m)
+    estimate = partial(_half_run_estimate, schedule, nodes, c_u0, c_m0,
+                       theta[0], p_m[-1], p_minus[0])
+    result = RunResult(min(1.0, float(p_m[-1])), min(1.0, float(p_minus[0])), drift, estimate)
     return trajectory, result
 
 
-def _half_run_estimate(schedule: Schedule, steps: int, half_nodes: np.ndarray,
-                       c_u0: complex, c_m0: complex, theta, p_m, p_minus) -> float:
-    """`RunResult.error_estimate` of a `steps`-step run from |w> = (c_u0, c_m0)
+def _half_run_estimate(schedule: Schedule, nodes: np.ndarray, c_u0: complex, c_m0: complex,
+                       theta, p_m, p_minus) -> float:
+    """`RunResult.error_estimate` of a run on `nodes` from |w> = (c_u0, c_m0)
     that ended at mixing angle `theta` with populations `p_m` and `p_minus`.
 
-    Richardson estimate from the same nodes at half the steps (order 4: the
+    Richardson estimate from every other node, half the steps (order 4: the
     N-step error is about 1/15 of the difference), plus rounding.  The half
     run is composed per block, then over the block products.
     """
+    steps = len(nodes) - 1
+    half_nodes = nodes[np.r_[0:steps:2, steps]]
     half_alpha, half_beta = _compose(*_magnus_steps(schedule, half_nodes, _BLOCK))
     half_u, half_m = _product(half_alpha, half_beta, c_u0, c_m0)
     _, half_minus = model.adiabatic_populations(theta, half_u, half_m)

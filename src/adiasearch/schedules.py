@@ -96,15 +96,7 @@ class Schedule:
         if self.kind is Strategy.LINEAR:
             span = t_f - t_i
             return amp * (t_f - t) / span, amp * (t - t_i) / span
-        u, root = self._level_root(t)
-        if self.kind is Strategy.LOCAL:
-            a = 0.5 * amp * (1.0 - u / (math.sqrt(self.n) * root))
-            # exact boundary values, not left to rounding
-            a = np.where(u == 1.0, 0.0, a)
-            a = np.where(u == -1.0, amp, a)
-            return a, amp - a
-        sqrt_n = math.sqrt(self.n)
-        return amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
+        return self._root_levels(*self._level_root(t))
 
     def _level_root(self, t):
         """(u, sqrt(1 - u^2 (n-1)/n)) at t: u = s for local, u = F(t) for parallel."""
@@ -117,17 +109,30 @@ class Schedule:
             u = _erf(t / self.t_char)
         return u, np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
 
+    def _root_levels(self, u, root):
+        """(a, b) of a local or parallel schedule from `_level_root`'s (u, root)."""
+        amp = self.alpha_or_beta
+        if self.kind is Strategy.LOCAL:
+            a = 0.5 * amp * (1.0 - u / (math.sqrt(self.n) * root))
+            # exact boundary values, not left to rounding
+            a = np.where(u == 1.0, 0.0, a)
+            a = np.where(u == -1.0, amp, a)
+            return a, amp - a
+        sqrt_n = math.sqrt(self.n)
+        return amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
+
     def couplings(self, t):
         """Vectorized (a, b, a_dot, b_dot) at times t: `levels` plus the rates."""
         t = np.asarray(t, dtype=float)
-        a, b = self.levels(t)
         t_i, t_f = self.window
         amp = self.alpha_or_beta
         if self.kind is Strategy.LINEAR:
+            a, b = self.levels(t)
             span = t_f - t_i
             return a, b, np.full_like(t, -amp / span), np.full_like(t, amp / span)
         sqrt_n = math.sqrt(self.n)
         u, root = self._level_root(t)
+        a, b = self._root_levels(u, root)
         if self.kind is Strategy.LOCAL:
             a_dot = -(amp / (sqrt_n * (t_f - t_i))) / root**3
             return a, b, a_dot, -a_dot

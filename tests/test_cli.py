@@ -117,14 +117,18 @@ class TestRunConfig:
 
 
 class TestRunCommand:
-    @pytest.mark.parametrize("argv, runs", [
-        (["run", "--strategy", "local", "--n", "20", "--epsilon", "0.2"], 1),
-        (["check", "--n-list", "4", "--full-steps", "1000"], 3),
-    ], ids=["run", "check"])
+    @pytest.mark.parametrize("argv, rows", [
+        (["run", "--strategy", "local", "--n", "20", "--epsilon", "0.2"], [1001]),
+        (["check", "--n-list", "4", "--full-steps", "1000"], []),
+        (["sweep", "--strategy", "local", "--variable", "n", "--values", "20", "64",
+          "--epsilon", "0.2", "--jobs", "1"], []),
+        (["compare", "--epsilon", "0.2", "--r", "8", "--n", "20"], []),
+    ], ids=["run", "check", "sweep", "compare"])
     def test_rates_sampled_at_trajectory_rows_only(self, tmp_path, capsys, monkeypatch,
-                                                   argv, runs):
+                                                   argv, rows):
         # the cost, the boundary residual and the oracle's readout read a and b
-        # through Schedule.levels; only each reduced run's 1,001 rows take rates
+        # through Schedule.levels, and the trajectory's rows are built on first
+        # read: only `run`, which writes them, takes rates, at its 1,001 rows
         points = []
         couplings = schedules.Schedule.couplings
 
@@ -135,7 +139,7 @@ class TestRunCommand:
         monkeypatch.setattr(schedules.Schedule, "couplings", counted)
         code, _, _ = run_main(argv + ["--steps", "1000", "--output", str(tmp_path)], capsys)
         assert code in (0, 3)
-        assert points == [1001] * runs
+        assert points == rows
 
     def test_files_and_stdout(self, tmp_path, capsys):
         out = tmp_path / "run1"

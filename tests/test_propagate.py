@@ -26,6 +26,7 @@ from adiasearch.propagate import (
     write_trajectory_csv,
 )
 from adiasearch.schedules import (
+    Schedule,
     Strategy,
     linear_schedule,
     local_schedule,
@@ -504,11 +505,13 @@ class TestPaperClaim:
 
 
 class TestTrajectoryContract:
-    @pytest.mark.parametrize("steps", [4000, 6000, 8000, DEFAULT_STEPS])
+    @pytest.mark.parametrize("steps", [1000, 4000, 4097, 6000, 8000, DEFAULT_STEPS])
     @pytest.mark.parametrize("build", [
+        lambda inst: linear_schedule(1.0, 400.0, inst),
         lambda inst: local_schedule(1.0, EPS_REF, inst),
+        lambda inst: parallel_schedule(1.0, 2.7, inst, r=12.0),
         lambda inst: parallel_schedule(1.0, 3.1, inst, r=6.5, shape="erf"),
-    ], ids=["local", "parallel"])
+    ], ids=["linear", "local", "tanh", "parallel"])
     def test_rows_and_endpoints(self, inst20, build, steps):
         sched = build(inst20)
         traj, result = propagate(sched, steps=steps)
@@ -516,7 +519,36 @@ class TestTrajectoryContract:
         assert len(traj) == steps // stride + 1 + (1 if steps % stride else 0)
         assert np.all(np.diff(traj.t) > 0)
         assert (traj.t[0], traj.t[-1]) == sched.window
-        assert traj.p_m[-1] == result.p_m_final
+        # the result reads the last row from the last node alone, before the
+        # rows are built; the rows' last entries carry the same bits
+        assert result.p_m_final.hex() == min(1.0, float(traj.p_m[-1])).hex()
+        assert result.p_loss.hex() == min(1.0, float(traj.p_minus[-1])).hex()
+
+
+class TestDeferredRows:
+    def test_rows_built_once_on_first_read(self, monkeypatch, inst20):
+        calls = []
+        couplings = Schedule.couplings
+
+        def counted(self, t):
+            calls.append(len(t))
+            return couplings(self, t)
+
+        monkeypatch.setattr(Schedule, "couplings", counted)
+        traj, result = propagate(local_schedule(1.0, EPS_REF, inst20), steps=4000)
+        # the result, its estimate and the eager columns sample no rates
+        assert result.error_estimate > 0.0
+        assert len(traj) == len(traj.p_u) == len(traj.p_m) == len(traj.norm) == 2001
+        assert calls == []
+        first = {name: getattr(traj, name) for name in TRAJECTORY_COLUMNS}
+        assert calls == [2001]
+        again = {name: getattr(traj, name) for name in TRAJECTORY_COLUMNS}
+        assert calls == [2001]
+        for name in TRAJECTORY_COLUMNS:
+            assert again[name] is first[name]
+        fresh, _ = propagate(local_schedule(1.0, EPS_REF, inst20), steps=4000)
+        for name in reversed(TRAJECTORY_COLUMNS):  # built from any column first
+            assert np.array_equal(getattr(fresh, name), first[name]), name
 
 
 class TestChunkScan:
