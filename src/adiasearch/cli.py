@@ -22,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import inspect
 import json
 import math
 import os
@@ -174,9 +173,8 @@ class RunConfig:
 
     @property
     def window_r(self) -> float:
-        """The parallel window length in units of T; `parallel_schedule`'s default if unset."""
-        default = inspect.signature(schedules.parallel_schedule).parameters["r"].default
-        return default if self.r is None else self.r
+        """The parallel window length in units of T; `schedules.DEFAULT_R` if unset."""
+        return schedules.DEFAULT_R if self.r is None else self.r
 
     def build(self) -> Schedule:
         """Validate the config against its strategy and build its schedule."""

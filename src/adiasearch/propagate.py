@@ -530,9 +530,11 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write the trajectory with the fixed column contract, 12 significant digits."""
-    # one format over one flat tuple of floats: no per-row Python objects
+    # one format over one flat tuple of floats: no per-row Python objects.
+    # `bytes %` renders each float by the same PyOS_double_to_string call as
+    # `str %`, so the bytes are those of the str, which is never built or encoded
     cells = np.column_stack([getattr(trajectory, name) for name in TRAJECTORY_COLUMNS])
-    line = ",".join(["%.12g"] * len(TRAJECTORY_COLUMNS)) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+    line = b",".join([b"%.12g"] * len(TRAJECTORY_COLUMNS)) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS).encode("ascii") + b"\n")
         fh.write(line * len(cells) % tuple(cells.ravel().tolist()))

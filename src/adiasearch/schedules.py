@@ -44,6 +44,10 @@ from .errors import ExactDegenerateN, InvalidParameter
 from .model import SearchInstance, require_choice, require_positive
 
 
+# the parallel window's default length in units of T_par
+DEFAULT_R = 8.0
+
+
 class Strategy(str, enum.Enum):
     LINEAR = "linear"
     LOCAL = "local"
@@ -114,9 +118,10 @@ class Schedule:
         amp = self.alpha_or_beta
         if self.kind is Strategy.LOCAL:
             a = 0.5 * amp * (1.0 - u / (math.sqrt(self.n) * root))
-            # exact boundary values, not left to rounding
-            a = np.where(u == 1.0, 0.0, a)
-            a = np.where(u == -1.0, amp, a)
+            # exact boundary values, not left to rounding; only samples at
+            # the window's ends have |u| = 1
+            if (np.abs(u) == 1.0).any():
+                a = np.where(u == 1.0, 0.0, np.where(u == -1.0, amp, a))
             return a, amp - a
         sqrt_n = math.sqrt(self.n)
         return amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
@@ -251,7 +256,7 @@ def parallel_schedule(
     beta: float,
     t_par: float,
     inst: SearchInstance,
-    r: float = 8.0,
+    r: float = DEFAULT_R,
     shape: Shape = Shape.TANH,
 ) -> Schedule:
     """Constant-gap schedule on the truncated window [-r*T_par/2, +r*T_par/2]."""

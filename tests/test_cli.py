@@ -115,6 +115,13 @@ class TestRunConfig:
         assert sched.r == 8.0
         assert sched.shape.value == "tanh"
 
+    def test_window_r_default_is_the_builders(self):
+        # one home for the default window: the builder's default and the
+        # sweep's unset r both read schedules.DEFAULT_R
+        built = RunConfig(strategy="parallel", n=20, T=2.0).build()
+        assert RunConfig(strategy="parallel").window_r == built.r == schedules.DEFAULT_R
+        assert RunConfig(strategy="parallel", r=12.0).window_r == 12.0
+
 
 class TestRunCommand:
     @pytest.mark.parametrize("argv, rows", [

@@ -100,6 +100,23 @@ class TestReducedTerms:
             lam_p, lam_m = eigenvalues(0.0, 1.0, n)
             assert ((lam_p + lam_m) / 2, delta, omega) == (0.5, -0.5, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 20, 1000, 10**12, 2**53])
+    def test_same_bits_for_every_kind_of_n(self, n):
+        a = np.array([0.0, 1e-300, 0.3, 0.5, 0.7, 1.0, 2.5e8])
+        b = np.array([1.0, 0.2, 0.7, 0.5, 0.3, 0.0, 1e-3])
+        # the formulas on a 0-d array n, as NumPy broadcasts them
+        n0 = np.asarray(n, dtype=float)
+        want = (0.5 * (a - b) - a / n0, a * np.sqrt(n0 - 1.0) / n0)
+        for kind in (n, float(n), np.int64(n), n0, np.full(len(a), float(n))):
+            got = reduced_terms(a, b, kind)
+            for x, y in zip(got, want):
+                assert [v.hex() for v in x.tolist()] == [v.hex() for v in y.tolist()]
+        # scalar couplings give scalars, whatever the kind of n
+        for kind in (n, float(n), n0):
+            got = reduced_terms(0.3, 0.7, kind)
+            assert all(np.ndim(x) == 0 for x in got)
+            assert [float(x).hex() for x in got] == [float(y[2]).hex() for y in want]
+
     def test_symmetric_point_n20(self):
         delta, omega = reduced_terms(0.5, 0.5, 20)
         assert delta == pytest.approx(-0.025, rel=1e-15)

@@ -392,6 +392,41 @@ class TestTrajectoryCsv:
         # cells use shortest round-trip style, 12 significant digits
         assert all(len(cell) <= 19 for cell in lines[2].split(","))
 
+    @staticmethod
+    def _rendered(trajectory):
+        """The file the contract asks for, rendered row by row through `str`."""
+        columns = [getattr(trajectory, name) for name in TRAJECTORY_COLUMNS]
+        rows = [",".join(f"{float(v):.12g}" for v in row) for row in zip(*columns)]
+        return "\n".join([",".join(TRAJECTORY_COLUMNS), *rows, ""]).encode("ascii")
+
+    @pytest.mark.parametrize("build, steps", [
+        (lambda inst: linear_schedule(1.0, 300.0, inst), 4000),
+        (lambda inst: local_schedule(1.0, 1 / 11, inst), 4000),
+        (lambda inst: parallel_schedule(1.0, 4.7, inst, r=12.0), 6000),
+        (lambda inst: parallel_schedule(1.0, 3.5, inst, r=9.5, shape="erf"), 8000),
+    ], ids=["linear", "local", "tanh", "erf"])
+    def test_bytes_match_per_row_rendering(self, inst20, tmp_path, build, steps):
+        traj, _ = propagate(build(inst20), steps=steps)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == self._rendered(traj)
+
+    def test_bytes_at_format_switches(self, inst20, tmp_path):
+        # %g switches to exponent form below 1e-4 and from 1e12 on; also a
+        # signed zero, a subnormal and values that round at the 12th digit
+        special = np.array([-0.0, 5e-324, 1e-5, 1e-4, 1e11, 1e12, 0.1 + 0.2, 1 - 2**-53])
+        traj, _ = propagate(local_schedule(1.0, 0.3, inst20), steps=2000)
+        for shift, name in enumerate(TRAJECTORY_COLUMNS):
+            column = getattr(traj, name)
+            column[:] = np.resize(np.roll(special, shift), len(column))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        data = path.read_bytes()
+        assert data == self._rendered(traj)
+        for cell in (b"-0", b"4.94065645841e-324", b"1e-05", b"0.0001", b"100000000000",
+                     b"1e+12", b"0.3", b"1"):
+            assert b"," + cell + b"," in data
+
 
 class TestAccuracy:
     # n = 1e10 and 1e12 guard the coarse-first grid where the window ends

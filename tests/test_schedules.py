@@ -79,6 +79,35 @@ class TestLocalSchedule:
         assert a_start == 1.3 and b_start == 0.0
         assert a_end == 0.0 and b_end == 1.3
 
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0], [2, 0, 1, 3], [3, 1, 0, 2]],
+                             ids=["sorted", "reversed", "ends-inside", "unsorted"])
+    def test_levels_exact_at_ends_of_any_array(self, inst20, order):
+        sched = local_schedule(1.3, 0.17, inst20)
+        t_i, t_f = sched.window
+        times = np.array([t_i, t_f, 0.3 * t_f, 0.8 * t_f])[order]
+        a, b = sched.levels(times)
+        for k, t in enumerate(times):
+            if t == t_i:
+                assert (a[k], b[k]) == (1.3, 0.0)
+            elif t == t_f:
+                assert (a[k], b[k]) == (0.0, 1.3)
+            else:
+                assert (a[k], b[k]) == tuple(float(x) for x in sched.levels(float(t)))
+
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.asarray], ids=["float", "numpy", "0-d"])
+    def test_levels_exact_at_scalar_ends(self, inst20, wrap):
+        sched = local_schedule(1.3, 0.17, inst20)
+        t_i, t_f = sched.window
+        assert tuple(map(float, sched.levels(wrap(t_i)))) == (1.3, 0.0)
+        assert tuple(map(float, sched.levels(wrap(t_f)))) == (0.0, 1.3)
+
+    def test_levels_nan_beside_an_end(self, inst20):
+        sched = local_schedule(1.3, 0.17, inst20)
+        t_i, t_f = sched.window
+        a, b = sched.levels([math.nan, t_f, t_i, math.nan])
+        assert np.isnan(a[[0, 3]]).all() and np.isnan(b[[0, 3]]).all()
+        assert (a[1], b[1], a[2], b[2]) == (0.0, 1.3, 1.3, 0.0)
+
     def test_midpoint_symmetric(self, inst20):
         sched = local_schedule(1.0, 0.1, inst20)
         a, b, _, _ = sched.couplings(0.5 * sched.t_char)
