@@ -85,9 +85,10 @@ MAX_STEPS = 2**22
 # cells of each coarse pass of `_phase_grid`; never more than the last
 # pass's 2*steps, since steps >= MIN_STEPS
 _COARSE_CELLS = 2 * MIN_STEPS
-# steps (or grid cells) sampled at once: the Gauss-point samples and the
-# step pairs of a block stay at or below 64 KiB, under glibc's default
-# 128 KiB mmap threshold, so they are not faulted in afresh on every run
+# steps (or grid cells) sampled at once, and trajectory.csv cells formatted
+# at once: the Gauss-point samples and the step pairs of a block stay at or
+# below 64 KiB, under glibc's default 128 KiB mmap threshold, so they are not
+# faulted in afresh on every run
 _BLOCK = 4096
 
 # Gauss-Legendre points of a step sit at its midpoint -/+ sqrt(3)/6 of its
@@ -177,7 +178,7 @@ class RunResult:
 
     `error_estimate` is the reduced run's discretization error estimate
     (None for `propagate_full`).  Its half-resolution run costs about a
-    sixth of the main run, so it is computed on first read and kept; no
+    quarter of the main run, so it is computed on first read and kept; no
     command reads it.  Equality compares the measured fields only.
 
     Figures of the schedule alone, such as its cost and predicted loss,
@@ -530,11 +531,16 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write the trajectory with the fixed column contract, 12 significant digits."""
-    # one format over one flat tuple of floats: no per-row Python objects.
-    # `bytes %` renders each float by the same PyOS_double_to_string call as
-    # `str %`, so the bytes are those of the str, which is never built or encoded
-    cells = np.column_stack([getattr(trajectory, name) for name in TRAJECTORY_COLUMNS])
-    line = b",".join([b"%.12g"] * len(TRAJECTORY_COLUMNS)) + b"\n"
+    # one format over a flat tuple of floats per block of at most `_BLOCK`
+    # cells: no per-row Python objects, and every temporary stays under the
+    # mmap threshold whatever the row count.  `bytes %` renders each float by
+    # the same PyOS_double_to_string call as `str %`, so the bytes are those
+    # of the str, which is never built or encoded
+    columns = [getattr(trajectory, name) for name in TRAJECTORY_COLUMNS]
+    line = b",".join([b"%.12g"] * len(columns)) + b"\n"
+    rows = _BLOCK // len(columns)
     with open(path, "wb") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS).encode("ascii") + b"\n")
-        fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
+        for first in range(0, len(trajectory), rows):
+            cells = np.column_stack([column[first:first + rows] for column in columns])
+            fh.write(line * len(cells) % tuple(cells.ravel().tolist()))

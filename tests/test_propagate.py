@@ -404,7 +404,13 @@ class TestTrajectoryCsv:
         (lambda inst: local_schedule(1.0, 1 / 11, inst), 4000),
         (lambda inst: parallel_schedule(1.0, 4.7, inst, r=12.0), 6000),
         (lambda inst: parallel_schedule(1.0, 3.5, inst, r=9.5, shape="erf"), 8000),
-    ], ids=["linear", "local", "tanh", "erf"])
+        # the writer formats 341 rows (`_BLOCK` // 12 cells) at a time: 1,022,
+        # 1,023 and 1,024 rows end one short of, at and one past a block edge
+        (lambda inst: local_schedule(1.0, 1 / 11, inst), 1021),
+        (lambda inst: local_schedule(1.0, 1 / 11, inst), 1022),
+        (lambda inst: local_schedule(1.0, 1 / 11, inst), 1023),
+        (lambda inst: local_schedule(1.0, 1 / 11, inst), 3999),
+    ], ids=["linear", "local", "tanh", "erf", "edge-1", "edge", "edge+1", "4000-rows"])
     def test_bytes_match_per_row_rendering(self, inst20, tmp_path, build, steps):
         traj, _ = propagate(build(inst20), steps=steps)
         path = tmp_path / "traj.csv"
@@ -426,6 +432,22 @@ class TestTrajectoryCsv:
         for cell in (b"-0", b"4.94065645841e-324", b"1e-05", b"0.0001", b"100000000000",
                      b"1e+12", b"0.3", b"1"):
             assert b"," + cell + b"," in data
+
+    @pytest.mark.parametrize("steps, rows", [(4000, 2001), (3999, 4000)])
+    def test_peak_memory_of_one_write(self, inst20, tmp_path, steps, rows):
+        # the rows are formatted a block at a time, so the writer's traced
+        # peak stays below 512 KiB whatever the row count (1.5 MiB at 2,001
+        # rows and 3.0 MiB at 4,000 with the whole file formatted at once)
+        traj, _ = propagate(local_schedule(1.0, 1 / 11, inst20), steps=steps)
+        # build the deferred columns first: they belong to the trajectory
+        assert len(traj.t) == rows
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
 
 
 class TestAccuracy:

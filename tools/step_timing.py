@@ -17,19 +17,22 @@ alike.  A process times three things:
   cost as `sweep --variable n` sets it): one warm-up call per probe, then
   PROPAGATE_CALLS rounds over the probes, each probe's fastest call in
   milliseconds;
-* `write_trajectory_csv` of two runs' 2,001 rows (WRITES: the fixed probe
-  of the benchmark's `trajectory_runs` workload, local n = 20 at epsilon =
-  1/11 and 4,000 steps, and an erf run at n = 50, T = 3.5, r = 9.5 and
-  8,000 steps): one warm-up call per run, which also builds the rows, then
+* `write_trajectory_csv` of three runs (WRITES: the fixed probe of the
+  benchmark's `trajectory_runs` workload, local n = 20 at epsilon = 1/11
+  and 4,000 steps, and an erf run at n = 50, T = 3.5, r = 9.5 and 8,000
+  steps, 2,001 rows each; the same local run at 3,999 steps, 4,000 rows):
+  one warm-up call per run, which also builds the rows, then one call
+  under `tracemalloc` for the writer's traced allocation peak in KiB, then
   WRITE_CALLS rounds over the runs, each run's fastest call in
   milliseconds, each call into a new file of a temporary directory, as
   `run` writes one.
 
 The script prints every pair and three tables: each side's median per step,
 per probe call and per write, the median ratio B/A and the number of pairs
-in which B was faster.  Perfbench's `--trace 1` layer times are raw wall
-seconds from one run per side; this times the integrators and the writer
-alone, over many pairs.
+in which B was faster; the write table also gives each side's traced peak
+of one call, which does not vary between processes.  Perfbench's
+`--trace 1` layer times are raw wall seconds from one run per side; this
+times the integrators and the writer alone, over many pairs.
 """
 
 import json
@@ -48,13 +51,14 @@ PROBES = ("local 20", "local 1e3", "local 1e4", "local 1e6", "parallel 20", "par
 # the runs whose trajectory.csv is timed: a label and the `cli.RunConfig`
 # fields of the run, as `run` would build it
 WRITES = (("local 20 4k", dict(strategy="local", n=20, epsilon=1 / 11, steps=4000)),
-          ("erf 50 8k", dict(strategy="parallel", n=50, T=3.5, r=9.5, shape="erf", steps=8000)))
+          ("erf 50 8k", dict(strategy="parallel", n=50, T=3.5, r=9.5, shape="erf", steps=8000)),
+          ("local 4k rows", dict(strategy="local", n=20, epsilon=1 / 11, steps=3999)))
 
 # `check` is run with its `propagate_full` swapped for a recorder that keeps
 # the batch and stops the command, so the timed batch is whatever `check`
 # builds in that tree, before or after any change to its defaults
 _CHILD = """
-import json, math, os, sys, tempfile, time
+import json, math, os, sys, tempfile, time, tracemalloc
 from adiasearch import cli
 from adiasearch.model import SearchInstance
 from adiasearch.propagate import propagate, propagate_full, write_trajectory_csv
@@ -104,25 +108,32 @@ written = [float("inf")] * len(trajectories)
 with tempfile.TemporaryDirectory() as tmp:
     for k, trajectory in enumerate(trajectories):
         write_trajectory_csv(trajectory, os.path.join(tmp, f"warm-up-{k}.csv"))
+    peaks = []
+    for k, trajectory in enumerate(trajectories):
+        tracemalloc.start()
+        write_trajectory_csv(trajectory, os.path.join(tmp, f"traced-{k}.csv"))
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1024)
+        tracemalloc.stop()
     for call in range(write_calls):
         for k, trajectory in enumerate(trajectories):
             path = os.path.join(tmp, f"{call}-{k}.csv")
             start = time.perf_counter()
             write_trajectory_csv(trajectory, path)
             written[k] = min(written[k], time.perf_counter() - start)
-print(json.dumps([per_step, [1e3 * s for s in fastest], [1e3 * s for s in written]]))
+print(json.dumps([per_step, [1e3 * s for s in fastest], [1e3 * s for s in written], peaks]))
 """
 
 
-def _time(src: str) -> tuple[float, list[float], list[float]]:
+def _time(src: str) -> tuple[float, list[float], list[float], list[float]]:
     """(`propagate_full` us per step, `propagate` ms per call of each probe,
-    `write_trajectory_csv` ms per call of each run in WRITES)."""
+    `write_trajectory_csv` ms per call and KiB of traced peak per call of
+    each run in WRITES)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = [sys.executable, "-c", _CHILD, str(STEPS), str(CALLS), str(PROPAGATE_CALLS),
             str(WRITE_CALLS), json.dumps(WRITES)]
     out = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
-    per_step, per_call, per_write = json.loads(out)
-    return per_step, per_call, per_write
+    per_step, per_call, per_write, peaks = json.loads(out)
+    return per_step, per_call, per_write, peaks
 
 
 def _row(label: str, a: list[float], b: list[float], unit: str) -> str:
@@ -145,23 +156,25 @@ def main(argv=None) -> int:
         sides = [(src_a, runs_a), (src_b, runs_b)]
         for src, runs in (sides if pair % 2 == 0 else sides[::-1]):
             runs.append(_time(src))
-        (full_a, call_a, write_a), (full_b, call_b, write_b) = runs_a[-1], runs_b[-1]
+        (full_a, call_a, write_a, _), (full_b, call_b, write_b, _) = runs_a[-1], runs_b[-1]
         print(f"pair {pair}: propagate_full A {full_a:.2f}  B {full_b:.2f} us/step;"
               f" propagate A {sum(call_a):.2f}  B {sum(call_b):.2f} ms per probe round;"
               f" write A {sum(write_a):.2f}  B {sum(write_b):.2f} ms per round",
               flush=True)
     print(f"A = {src_a}\nB = {src_b}")
-    (full_a, call_a, write_a), (full_b, call_b, write_b) = zip(*runs_a), zip(*runs_b)
+    (full_a, call_a, write_a, peak_a), (full_b, call_b, write_b, peak_b) = (zip(*runs_a),
+                                                                            zip(*runs_b))
     print("propagate_full, per step, default check batch")
     print(_row("nine rows", full_a, full_b, "us"))
     print("propagate, per call, summary_sweep probes at the default steps")
     for k, label in enumerate(PROBES):
         print(_row(label, [c[k] for c in call_a], [c[k] for c in call_b], "ms"))
     print(_row("all six", [sum(c) for c in call_a], [sum(c) for c in call_b], "ms"))
-    print("write_trajectory_csv, per call, 2,001 rows")
+    print("write_trajectory_csv, per call, and its traced peak")
     for k, (label, _) in enumerate(WRITES):
-        print(_row(label, [w[k] for w in write_a], [w[k] for w in write_b], "ms"))
-    print(_row("both", [sum(w) for w in write_a], [sum(w) for w in write_b], "ms"))
+        print(_row(label, [w[k] for w in write_a], [w[k] for w in write_b], "ms")
+              + f"  peak A {peak_a[0][k]:.0f}  B {peak_b[0][k]:.0f} KiB")
+    print(_row("all three", [sum(w) for w in write_a], [sum(w) for w in write_b], "ms"))
     return 0
 
 
