@@ -55,8 +55,9 @@ _INPUTS = {
     "local": (schedules.local_schedule, ("alpha", "epsilon"), "epsilon"),
     "parallel": (schedules.parallel_schedule, ("beta", "T", "r", "shape"), "T"),
 }
-# per swept variable: the flag its values set, and the one strategy it needs (None: any)
-_SWEPT = {"epsilon": ("epsilon", "local"), "inv_gamma": ("T", "parallel"), "n": ("n", None)}
+# per swept variable, in the order usage lists them: the flag its values set,
+# and the one strategy it needs (None: any)
+_SWEPT = {"inv_gamma": ("T", "parallel"), "n": ("n", None), "epsilon": ("epsilon", "local")}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -302,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     template = _config_from_args(args)
     values = args.values
     if args.variable == "n" and not values:
-        values = sorted(set(_default_n_values()))
+        values = _default_n_values()
     if not values:
         raise InvalidParameter("--values must be non-empty")
     bad = [x for x in values if not math.isfinite(x)]
@@ -468,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="one run per swept value")
     add_config_flags(sweep_p, n_required=False)
-    sweep_p.add_argument("--variable", required=True,
-                         choices=("inv_gamma", "n", "epsilon"))
+    sweep_p.add_argument("--variable", required=True, choices=tuple(_SWEPT))
     sweep_p.add_argument("--values", type=float, nargs="+", default=None,
                          help="strictly increasing sweep values "
                               "(n sweeps default to 40 log-spaced in [10, 1000])")

@@ -26,10 +26,12 @@ halving over aligned blocks is a subtree of halving over the whole
 array; identity pads multiply exactly, and the cdf is one cumsum over
 the blocks' cell masses, so the blocks change no output bit.  The
 internal samples read a and b only (`Schedule.levels`); only the ~2001
-trajectory rows call `Schedule.couplings` for the rates, and they are
-built on the first read of a column (`Trajectory`): the result reads the
-last row's mixing angle from the last node alone, so a run whose
-trajectory nobody reads samples no rates.
+trajectory rows call `Schedule.couplings` for the rates.  `Trajectory`
+builds its nine deferred columns on the first read of any of them: its
+`__getattr__`, reached only for a name missing from the instance's
+`__dict__`, stores all nine there, so later reads never reach it.  The
+result reads the last row's mixing angle from the last node alone, so a
+run whose trajectory nobody reads samples no rates.
 
 The nodes are not uniform in t: they sit at equal increments of phase,
 rotation and relative gap change (`_phase_grid`, three coarse passes of
@@ -103,20 +105,9 @@ _EPS = float(np.finfo(float).eps)
 _FULL_BLOCK = 1000
 
 
-class _Row:
-    """A trajectory column that `Trajectory._rows` builds, with the other
-    such columns, on first read.  The instance keeps them all in its
-    `__dict__`, which a non-data descriptor defers to, so later reads are
-    plain attribute reads."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, trajectory, owner=None):
-        if trajectory is None:
-            return self
-        trajectory.__dict__.update(trajectory._rows())
-        return trajectory.__dict__[self.name]
+# the trajectory.csv header, and the names of the trajectory's columns
+TRAJECTORY_COLUMNS = ("t", "a", "b", "lambda_plus", "lambda_minus", "theta", "theta_dot",
+                      "p_u", "p_m", "p_plus", "p_minus", "norm")
 
 
 @dataclass(frozen=True)
@@ -124,11 +115,11 @@ class Trajectory:
     """Sampled run history; column arrays share one length and t increases.
 
     `propagate` computes `p_u`, `p_m` and `norm`, which its result and its
-    norm guard read.  The other columns (the sample times, the couplings,
-    eigenvalues, mixing angle and rate there, and the adiabatic
-    populations) are built from the schedule, the nodes and the sampled
-    amplitudes when one of them is first read, and kept: a caller that
-    reads only the RunResult never samples the rates.
+    norm guard read.  The other columns of `TRAJECTORY_COLUMNS` (the sample
+    times, the couplings, eigenvalues, mixing angle and rate there, and the
+    adiabatic populations) are built from the schedule, the nodes and the
+    sampled amplitudes when one of them is first read, and kept: a caller
+    that reads only the RunResult never samples the rates.
     """
 
     p_u: np.ndarray
@@ -140,18 +131,17 @@ class Trajectory:
     _amp_u: np.ndarray
     _amp_m: np.ndarray
 
-    t = _Row()
-    a = _Row()
-    b = _Row()
-    lambda_plus = _Row()
-    lambda_minus = _Row()
-    theta = _Row()
-    theta_dot = _Row()
-    p_plus = _Row()
-    p_minus = _Row()
-
     def __len__(self) -> int:
         return len(self.p_u)
+
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance `__dict__`: a
+        # column's first read stores them all there, so later reads are
+        # plain attribute reads
+        if name not in TRAJECTORY_COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(self._rows())
+        return self.__dict__[name]
 
     def _rows(self) -> dict:
         """The deferred columns, sampled every `_every` nodes and at the last."""
@@ -165,11 +155,6 @@ class Trajectory:
         return dict(t=t, a=a, b=b, lambda_plus=lambda_plus, lambda_minus=lambda_minus,
                     theta=theta, theta_dot=model.coupling_rate(a, b, a_dot, b_dot, n),
                     p_plus=p_plus, p_minus=p_minus)
-
-
-# the trajectory.csv header
-TRAJECTORY_COLUMNS = ("t", "a", "b", "lambda_plus", "lambda_minus", "theta", "theta_dot",
-                      "p_u", "p_m", "p_plus", "p_minus", "norm")
 
 
 @dataclass(frozen=True)

@@ -94,57 +94,45 @@ class Schedule:
 
     def levels(self, t):
         """Vectorized (a, b) at times t (scalar or array), without the rates."""
+        return self._sample(t, False)
+
+    def couplings(self, t):
+        """Vectorized (a, b, a_dot, b_dot) at times t: `levels` plus the rates."""
+        return self._sample(t, True)
+
+    def _sample(self, t, rates):
+        """(a, b) at times t, then (a_dot, b_dot) if `rates`: one block per kind."""
         t = np.asarray(t, dtype=float)
         t_i, t_f = self.window
         amp = self.alpha_or_beta
         if self.kind is Strategy.LINEAR:
             span = t_f - t_i
-            return amp * (t_f - t) / span, amp * (t - t_i) / span
-        return self._root_levels(*self._level_root(t))
-
-    def _level_root(self, t):
-        """(u, sqrt(1 - u^2 (n-1)/n)) at t: u = s for local, u = F(t) for parallel."""
+            a, b = amp * (t_f - t) / span, amp * (t - t_i) / span
+            if not rates:
+                return a, b
+            return a, b, np.full_like(t, -amp / span), np.full_like(t, amp / span)
+        sqrt_n = math.sqrt(self.n)
         if self.kind is Strategy.LOCAL:
-            t_i, t_f = self.window
             u = (2.0 * t - t_i - t_f) / (t_f - t_i)
-        elif self.shape is Shape.TANH:
-            u = np.tanh(t / self.t_char)
-        else:
-            u = _erf(t / self.t_char)
-        return u, np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
-
-    def _root_levels(self, u, root):
-        """(a, b) of a local or parallel schedule from `_level_root`'s (u, root)."""
-        amp = self.alpha_or_beta
-        if self.kind is Strategy.LOCAL:
-            a = 0.5 * amp * (1.0 - u / (math.sqrt(self.n) * root))
+            root = np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
+            a = 0.5 * amp * (1.0 - u / (sqrt_n * root))
             # exact boundary values, not left to rounding; only samples at
             # the window's ends have |u| = 1
             if (np.abs(u) == 1.0).any():
                 a = np.where(u == 1.0, 0.0, np.where(u == -1.0, amp, a))
-            return a, amp - a
-        sqrt_n = math.sqrt(self.n)
-        return amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
-
-    def couplings(self, t):
-        """Vectorized (a, b, a_dot, b_dot) at times t: `levels` plus the rates."""
-        t = np.asarray(t, dtype=float)
-        t_i, t_f = self.window
-        amp = self.alpha_or_beta
-        if self.kind is Strategy.LINEAR:
-            a, b = self.levels(t)
-            span = t_f - t_i
-            return a, b, np.full_like(t, -amp / span), np.full_like(t, amp / span)
-        sqrt_n = math.sqrt(self.n)
-        u, root = self._level_root(t)
-        a, b = self._root_levels(u, root)
-        if self.kind is Strategy.LOCAL:
+            if not rates:
+                return a, amp - a
             a_dot = -(amp / (sqrt_n * (t_f - t_i))) / root**3
-            return a, b, a_dot, -a_dot
+            return a, amp - a, a_dot, -a_dot
+        x = t / self.t_char
+        u = np.tanh(x) if self.shape is Shape.TANH else _erf(x)
+        root = np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
+        a, b = amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
+        if not rates:
+            return a, b
         if self.shape is Shape.TANH:
             f_dot = (1.0 - u * u) / self.t_char
         else:
-            x = t / self.t_char
             f_dot = (2.0 / math.sqrt(math.pi)) * np.exp(-x * x) / self.t_char
         root_dot = -(self.n - 1.0) / self.n * u * f_dot / root
         return a, b, amp * (root_dot - f_dot / sqrt_n), amp * (root_dot + f_dot / sqrt_n)

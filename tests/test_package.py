@@ -1,4 +1,5 @@
 import ast
+import collections
 import glob
 import importlib.util
 import json
@@ -117,22 +118,22 @@ PERFBENCH = os.path.join(os.path.dirname(README), "perfbench")
 
 
 def _defined_names(node):
-    """Public names that a top-level statement defines: def, class or constant."""
+    """Names that a top-level statement defines: def, class or constant."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [name for name in names if not name.startswith("_")]
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
 
 
 def _identifiers(node):
-    # names and attributes only: docstrings and other strings do not count
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
-            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+    # names and attributes only, each with its count: docstrings and other
+    # strings do not count
+    return collections.Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                               for sub in ast.walk(node)
+                               if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
 def test_every_public_name_has_a_user():
@@ -152,10 +153,34 @@ def test_every_public_name_has_a_user():
     unused = []
     for module, definition, _ in statements:
         for name in _defined_names(definition):
+            if name.startswith("_"):
+                continue
             used = any(name in names for _, node, names in statements if node is not definition)
             named = any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)
             if not (used or named):
                 unused.append(f"{module}:{name}")
+    assert unused == []
+
+
+def test_every_private_name_has_a_user():
+    # a private function, class, method or module-level constant must be
+    # referenced by other src code: one that only its own body or the tests
+    # name is dead.  Dunders are exempt.
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    everywhere = sum((_identifiers(tree) for tree in trees.values()), collections.Counter())
+    unused = []
+    for module, tree in trees.items():
+        methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for definition in [*tree.body, *methods]:
+            own = _identifiers(definition)
+            for name in _defined_names(definition):
+                dunder = name.startswith("__") and name.endswith("__")
+                if name.startswith("_") and not dunder and everywhere[name] <= own[name]:
+                    unused.append(f"{module}:{name}")
     assert unused == []
 
 

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import math
 import pickle
@@ -582,16 +583,22 @@ class TestTrajectoryContract:
         assert result.p_loss.hex() == min(1.0, float(traj.p_minus[-1])).hex()
 
 
+def _count_couplings(monkeypatch):
+    """The sample counts of every `Schedule.couplings` call from now on."""
+    calls = []
+    couplings = Schedule.couplings
+
+    def counted(self, t):
+        calls.append(len(t))
+        return couplings(self, t)
+
+    monkeypatch.setattr(Schedule, "couplings", counted)
+    return calls
+
+
 class TestDeferredRows:
     def test_rows_built_once_on_first_read(self, monkeypatch, inst20):
-        calls = []
-        couplings = Schedule.couplings
-
-        def counted(self, t):
-            calls.append(len(t))
-            return couplings(self, t)
-
-        monkeypatch.setattr(Schedule, "couplings", counted)
+        calls = _count_couplings(monkeypatch)
         traj, result = propagate(local_schedule(1.0, EPS_REF, inst20), steps=4000)
         # the result, its estimate and the eager columns sample no rates
         assert result.error_estimate > 0.0
@@ -606,6 +613,24 @@ class TestDeferredRows:
         fresh, _ = propagate(local_schedule(1.0, EPS_REF, inst20), steps=4000)
         for name in reversed(TRAJECTORY_COLUMNS):  # built from any column first
             assert np.array_equal(getattr(fresh, name), first[name]), name
+
+    def test_attribute_contract(self, monkeypatch, inst20):
+        calls = _count_couplings(monkeypatch)
+        traj, _ = propagate(parallel_schedule(1.0, 4.7, inst20, r=8.0), steps=4000)
+        # a name that is no column is missing, and asking samples nothing
+        assert not hasattr(traj, "p_zero")
+        assert calls == []
+        # an unread trajectory copies and pickles unbuilt, and builds the
+        # same columns afterwards
+        copies = [copy.copy(traj), pickle.loads(pickle.dumps(traj))]
+        assert calls == []
+        want = {name: getattr(traj, name) for name in TRAJECTORY_COLUMNS}
+        assert calls == [2001]
+        assert set(TRAJECTORY_COLUMNS) <= set(vars(traj))
+        for other in copies:
+            for name in TRAJECTORY_COLUMNS:
+                assert getattr(other, name).tobytes() == want[name].tobytes(), name
+        assert calls == [2001] * 3
 
 
 class TestChunkScan:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -247,14 +248,26 @@ class TestNumpyScalarInputs:
         assert all(type(v) is float for v in numbers)
 
 
+# sha256 of the bytes of `levels` and of all four `couplings` arrays on the
+# 1,001-point grid and at both scalar window ends, per kind, written with
+# this NumPy version
+_SAMPLE_DIGESTS_NUMPY = "2.4.6"
+_SAMPLE_DIGESTS = {
+    "linear": "b37e586319632bbb8077d7d1d2bb160205701c8e9ba7f2dec9ecd3a95a9e4956",
+    "local": "90eee79fb183e2302c7fb5cc7a894766c425158978598e1c9dda01c430869d83",
+    "tanh": "8476cb0b43fcfde9292d2b246b2071ffd070f1ec3bdfec9b107c74e8ba4f88e8",
+    "erf": "28fe20dd5aa154637153e1e506ebce709c078b01b0efa59dc8de6091143a91e1",
+}
+
+
 class TestLevels:
-    @pytest.mark.parametrize("build", [
-        lambda inst: linear_schedule(1.3, 440.0, inst),
-        lambda inst: local_schedule(0.7, EPS_REF, inst),
-        lambda inst: parallel_schedule(1.1, 4.7, inst, r=8.0),
-        lambda inst: parallel_schedule(0.9, 3.1, inst, r=6.5, shape="erf"),
+    @pytest.mark.parametrize("kind, build", [
+        ("linear", lambda inst: linear_schedule(1.3, 440.0, inst)),
+        ("local", lambda inst: local_schedule(0.7, EPS_REF, inst)),
+        ("tanh", lambda inst: parallel_schedule(1.1, 4.7, inst, r=8.0)),
+        ("erf", lambda inst: parallel_schedule(0.9, 3.1, inst, r=6.5, shape="erf")),
     ], ids=["linear", "local", "tanh", "erf"])
-    def test_levels_are_the_couplings_without_rates(self, build):
+    def test_levels_are_the_couplings_without_rates(self, kind, build):
         sched = build(SearchInstance(1000))
         t_i, t_f = sched.window
         for t in (np.linspace(t_i, t_f, 1001), t_i, t_f, 0.3 * t_i + 0.7 * t_f):
@@ -263,6 +276,18 @@ class TestLevels:
             for got, want in zip(levels, couplings):
                 assert np.shape(got) == np.shape(t)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the sampled bits themselves, rates at full precision included
+        digest = hashlib.sha256()
+        for t in (np.linspace(t_i, t_f, 1001), t_i, t_f):
+            for values in (*sched.levels(t), *sched.couplings(t)):
+                digest.update(np.asarray(values).tobytes())
+        found = digest.hexdigest()
+        if found != _SAMPLE_DIGESTS[kind]:
+            message = f"{kind} samples changed: sha256 {found}"
+            if _SAMPLE_DIGESTS_NUMPY != np.__version__:
+                message += (f" (digests written with NumPy {_SAMPLE_DIGESTS_NUMPY},"
+                            f" this run uses NumPy {np.__version__})")
+            pytest.fail(message, pytrace=False)
 
 
 class TestErfKernel:
