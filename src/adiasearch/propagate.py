@@ -24,9 +24,10 @@ run's trajectory chunks, and the half run's whole blocks, which one
 `_compose` then multiplies.  `_BLOCK` is a power of two, so pairwise
 halving over aligned blocks is a subtree of halving over the whole
 array; identity pads multiply exactly, and the cdf is one cumsum over
-the blocks' cell masses, so the blocks change no output bit.  The
-internal samples read a and b only (`Schedule.levels`); only the ~2001
-trajectory rows call `Schedule.couplings` for the rates.  `Trajectory`
+the blocks' cell masses (a parallel run's is pointwise), so the blocks
+change no output bit.  The internal samples read a and b only
+(`Schedule.levels`; a parallel grid reads the ramp F alone); only the
+~2001 trajectory rows call `Schedule.couplings` for the rates.  `Trajectory`
 builds its nine deferred columns on the first read of any of them: its
 `__getattr__`, reached only for a name missing from the instance's
 `__dict__`, stores all nine there, so later reads never reach it.  The
@@ -34,11 +35,15 @@ result reads the last row's mixing angle from the last node alone, so a
 run whose trajectory nobody reads samples no rates.
 
 The nodes are not uniform in t: they sit at equal increments of phase,
-rotation and relative gap change (`_phase_grid`, three coarse passes of
-~2000 cells and one of 2*steps cells), so a crossing of width ~1/sqrt(n)
-gets as many steps as it needs.  The same nodes taken every
-other one give a half-resolution run, and the difference, divided by
-2^4 - 1, estimates the discretization error (`RunResult.error_estimate`).
+rotation and relative gap change (`_phase_grid`), so a crossing of width
+~1/sqrt(n) gets as many steps as it needs.  Linear and local runs sample
+that mass, in three coarse passes of ~2000 cells and one of 2*steps
+cells.  A parallel run's gap is constant and its rotation closed form, so
+its mass is evaluated at each point of one uniform pass of 2*steps cells:
+its density g + 2 |psi'| is smooth on the scale of T_par, with no narrow
+feature for a coarse pass to find.  The same nodes taken every other one
+give a half-resolution run, and the difference, divided by 2^4 - 1,
+estimates the discretization error (`RunResult.error_estimate`).
 The half run is stepped only when the estimate is first read
 (`_half_run_estimate`), so a run whose estimate nobody reads skips it.
 
@@ -75,7 +80,7 @@ from .errors import (
     NonUnit,
     OracleSizeExceeded,
 )
-from .schedules import Schedule
+from .schedules import Schedule, Strategy
 
 DEFAULT_STEPS = 16_000
 # fewest steps any propagation or command accepts
@@ -208,25 +213,57 @@ def _cumulative_mass(schedule: Schedule, t: np.ndarray) -> np.ndarray:
     return np.cumsum(mass, out=mass)
 
 
+def _parallel_mass(schedule: Schedule, t: np.ndarray) -> np.ndarray:
+    """`_cumulative_mass` of a parallel schedule, in closed form at each point.
+
+    The gap is constant, g = 2 beta / sqrt(n), so the phase is
+    g (t - t[0]) and the relative gap change is 0.  The rotation is closed
+    form too: atan2(omega, delta) = pi + chi - psi with sin chi = 1/sqrt(n)
+    and cos psi = sqrt(1 - 1/n) F(t / T_par), and psi falls as F rises.  So
+    the mass is g (t - t[0]) + 2 (psi(t[0]) - psi(t)), evaluated `_BLOCK`
+    points at a time with no sum over cells.
+    """
+    gap = 2.0 * schedule.alpha_or_beta / math.sqrt(schedule.n)
+    if not gap > 0.0:  # a NaN gap fails too
+        raise DegeneratePoint("schedule passes through a = b = 0")
+    scale = math.sqrt(1.0 - 1.0 / schedule.n)
+    mass = np.empty(len(t))
+    for first in range(0, len(t), _BLOCK):
+        points = t[first:first + _BLOCK]
+        psi = np.arccos(scale * schedule._ramp(points / schedule.t_char))
+        mass[first:first + len(points)] = gap * (points - t[0]) - 2.0 * psi
+    mass -= mass[0]  # adds 2 psi(t[0]), so the first point's mass is exactly 0
+    return mass
+
+
 def _phase_grid(schedule: Schedule, steps: int) -> np.ndarray:
     """Nodes t_i = t_0 < ... < t_steps = t_f at equal steps of the grid mass.
 
-    Each pass sums the mass (`_cumulative_mass`) over a subdivision of the
-    previous pass's nodes into cells and places new nodes at equal
-    increments of it, by linear interpolation.  Three coarse passes of
-    `_COARSE_CELLS` cells, each placing half as many nodes, come first:
-    the first on a uniform grid, the others over the previous pass's
-    nodes.  A feature narrower than a cell still adds its whole mass to
-    the cell that straddles it, so each pass crowds nodes around it and
-    the next one resolves it further.  The last pass takes 2*steps cells
-    over the coarse nodes and places the `steps` steps.
+    Each pass sums the mass over a subdivision of the previous pass's nodes
+    into cells and places new nodes at equal increments of it, by linear
+    interpolation.  For linear and local schedules the mass is sampled
+    (`_cumulative_mass`), and three coarse passes of `_COARSE_CELLS` cells,
+    each placing half as many nodes, come first: the first on a uniform
+    grid, the others over the previous pass's nodes.  A feature narrower
+    than a cell still adds its whole mass to the cell that straddles it,
+    so each pass crowds nodes around it and the next one resolves it
+    further.  The last pass takes 2*steps cells over the coarse nodes and
+    places the `steps` steps.  A parallel schedule's mass is closed form
+    (`_parallel_mass`) and its density g + 2 |psi'| is smooth on the scale
+    of T_par, with no feature for a coarse pass to find, so it takes that
+    last pass alone, on a uniform grid.
     """
+    fine_pass = (2 * steps, steps)
+    if schedule.kind is Strategy.PARALLEL:
+        mass, passes = _parallel_mass, (fine_pass,)
+    else:
+        coarse = (_COARSE_CELLS, _COARSE_CELLS // 2)
+        mass, passes = _cumulative_mass, (coarse, coarse, coarse, fine_pass)
     nodes = np.array(schedule.window)
-    coarse = (_COARSE_CELLS, _COARSE_CELLS // 2)
-    for cells, count in (coarse, coarse, coarse, (2 * steps, steps)):
+    for cells, count in passes:
         fine = np.interp(np.linspace(0.0, len(nodes) - 1.0, cells + 1),
                          np.arange(len(nodes)), nodes)
-        cdf = _cumulative_mass(schedule, fine)
+        cdf = mass(schedule, fine)
         nodes = np.interp(np.linspace(0.0, cdf[-1], count + 1), cdf, fine)
     return nodes
 

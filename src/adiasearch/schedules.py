@@ -100,6 +100,10 @@ class Schedule:
         """Vectorized (a, b, a_dot, b_dot) at times t: `levels` plus the rates."""
         return self._sample(t, True)
 
+    def _ramp(self, x):
+        """The parallel ramp profile F at x = t / T_par: tanh(x) or erf(x)."""
+        return np.tanh(x) if self.shape is Shape.TANH else _erf(x)
+
     def _sample(self, t, rates):
         """(a, b) at times t, then (a_dot, b_dot) if `rates`: one block per kind."""
         t = np.asarray(t, dtype=float)
@@ -125,7 +129,7 @@ class Schedule:
             a_dot = -(amp / (sqrt_n * (t_f - t_i))) / root**3
             return a, amp - a, a_dot, -a_dot
         x = t / self.t_char
-        u = np.tanh(x) if self.shape is Shape.TANH else _erf(x)
+        u = self._ramp(x)
         root = np.sqrt(1.0 - (self.n - 1.0) / self.n * u * u)
         a, b = amp * (root - u / sqrt_n), amp * (root + u / sqrt_n)
         if not rates:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib
 import math
 import pickle
@@ -14,13 +15,16 @@ from adiasearch.errors import (
     NonUnit,
     OracleSizeExceeded,
 )
-from adiasearch.model import SearchInstance
+from adiasearch.model import SearchInstance, energy_gap
 from adiasearch.propagate import (
     DEFAULT_STEPS,
     MAX_STEPS,
+    MIN_STEPS,
     TRAJECTORY_COLUMNS,
     _compose,
+    _cumulative_mass,
     _magnus_steps,
+    _parallel_mass,
     _phase_grid,
     propagate,
     propagate_full,
@@ -361,6 +365,14 @@ class TestValidation:
         with pytest.raises(DegeneratePoint):
             propagate(FrozenSchedule(0.0, 0.0, 20), steps=2000)
 
+    @pytest.mark.parametrize("beta", [0.0, math.nan])
+    def test_degenerate_parallel_rejected(self, inst20, beta):
+        # the builder refuses such a scale; a schedule made without it meets
+        # the guard of the closed-form grid, which samples no gap
+        sched = dataclasses.replace(parallel_schedule(1.0, 4.7, inst20), alpha_or_beta=beta)
+        with pytest.raises(DegeneratePoint):
+            propagate(sched, steps=2000)
+
     def test_nan_gap_rejected(self):
         # a NaN coupling gives a NaN gap, which the guard refuses as it does a zero one
         with pytest.raises(DegeneratePoint):
@@ -451,6 +463,28 @@ class TestTrajectoryCsv:
         assert peak < 512 * 2**10
 
 
+class TestParallelMass:
+    @pytest.mark.parametrize("n", [2, 20, 10**3, 10**6, 10**8])
+    @pytest.mark.parametrize("shape", ["tanh", "erf"])
+    def test_closed_form_matches_sampled_mass(self, shape, n):
+        # the phase g (t - t_i) plus the rotation 2 (psi(t_i) - psi(t)) is the
+        # sampled phase plus rotation.  On a constant gap the sampled mass's
+        # |d ln gap| term is rounding alone, summed in absolute value (up to
+        # 5.9e-10 at n = 1e8 over these cells), so it is taken out
+        for r in (6.5, 8.0, 24.0, 40.0):
+            for inv_gamma in (0.6, 5.0):
+                sched = parallel_schedule(1.0, inv_gamma * math.sqrt(n), SearchInstance(n),
+                                          r=r, shape=shape)
+                t = np.linspace(*sched.window, 2 * MIN_STEPS + 1)
+                closed = _parallel_mass(sched, t)
+                log_gap = np.log(energy_gap(*sched.levels(t), n))
+                gap_change = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(log_gap)))))
+                total = closed[-1]
+                assert gap_change[-1] <= 1e-9 * total
+                sampled = _cumulative_mass(sched, t) - gap_change
+                assert np.max(np.abs(closed - sampled)) <= 1e-12 * total, (r, inv_gamma)
+
+
 class TestAccuracy:
     # n = 1e10 and 1e12 guard the coarse-first grid where the window ends
     # are 1/n narrow
@@ -476,6 +510,15 @@ class TestAccuracy:
         for value, reference in ((result.p_m_final, p_m), (result.p_loss, p_loss)):
             assert abs(value - reference) <= 1e-12
             assert abs(value - reference) <= result.error_estimate
+        # `check`'s parallel entries (T = 0.6 sqrt(n), r = 8) at n = 4 and
+        # 128: the grid of the closed-form mass reads 1.5e-14 and 3.7e-15 in
+        # p_m, a grid uniform in t 6.9e-13 at n = 4
+        for n in (4, 128):
+            sched = parallel_schedule(1.0, 0.6 * math.sqrt(n), SearchInstance(n), r=8.0)
+            _, result = propagate(sched)
+            p_m, p_loss = _mpmath_reference(sched, steps=800)
+            assert abs(result.p_m_final - p_m) <= min(5e-14, result.error_estimate)
+            assert abs(result.p_loss - p_loss) <= min(1e-14, result.error_estimate)
 
 
 def _mpmath_reference(sched, steps):
@@ -701,7 +744,7 @@ class TestRunResult:
         (lambda: local_schedule(1.0, EPS_REF, SearchInstance(20)), 2000,
          "0x1.8ec6811111111p-40"),
         (lambda: parallel_schedule(1.0, 0.6 * math.sqrt(1000), SearchInstance(1000), r=12.0),
-         DEFAULT_STEPS, "0x1.f44e222222222p-39"),
+         DEFAULT_STEPS, "0x1.f40b333333333p-39"),
     ], ids=["local", "parallel"])
     def test_estimate_stepped_on_first_read(self, monkeypatch, build, steps, expected):
         # one Magnus pass per run; the half run's pass comes with the first

@@ -14,9 +14,11 @@ alike.  A process times three things:
 * `propagate` at the default steps on the fixed accuracy probes of the
   benchmark's `summary_sweep` workload (local n = 20, 1e3, 1e4, 1e6 at
   epsilon = 1/11; parallel n = 20, 1e3 at r = 12, T matched to the local
-  cost as `sweep --variable n` sets it): one warm-up call per probe, then
-  PROPAGATE_CALLS rounds over the probes, each probe's fastest call in
-  milliseconds;
+  cost as `sweep --variable n` sets it), and on the erf schedule of the
+  reference command `run_parallel_erf` (n = 37, marked 5, T = 3.1,
+  r = 6.5) at its 6,000 steps, so both ramp shapes are timed: one warm-up
+  call per probe, then PROPAGATE_CALLS rounds over the probes, each
+  probe's fastest call in milliseconds;
 * `write_trajectory_csv` of three runs (WRITES: the fixed probe of the
   benchmark's `trajectory_runs` workload, local n = 20 at epsilon = 1/11
   and 4,000 steps, and an erf run at n = 50, T = 3.5, r = 9.5 and 8,000
@@ -47,7 +49,8 @@ CALLS = 3
 PROPAGATE_CALLS = 5
 WRITE_CALLS = 10
 # the probes' labels, in the order the child reports them
-PROBES = ("local 20", "local 1e3", "local 1e4", "local 1e6", "parallel 20", "parallel 1e3")
+PROBES = ("local 20", "local 1e3", "local 1e4", "local 1e6", "parallel 20", "parallel 1e3",
+          "erf 37 6k")
 # the runs whose trajectory.csv is timed: a label and the `cli.RunConfig`
 # fields of the run, as `run` would build it
 WRITES = (("local 20 4k", dict(strategy="local", n=20, epsilon=1 / 11, steps=4000)),
@@ -61,7 +64,7 @@ _CHILD = """
 import json, math, os, sys, tempfile, time, tracemalloc
 from adiasearch import cli
 from adiasearch.model import SearchInstance
-from adiasearch.propagate import propagate, propagate_full, write_trajectory_csv
+from adiasearch.propagate import DEFAULT_STEPS, propagate, propagate_full, write_trajectory_csv
 from adiasearch.schedules import equal_cost_gamma, local_schedule, parallel_schedule
 steps, calls, propagate_calls, write_calls = (int(arg) for arg in sys.argv[1:5])
 writes = json.loads(sys.argv[5])
@@ -88,16 +91,18 @@ for _ in range(calls):
 per_step = best / steps * 1e6
 
 epsilon, r = 1 / 11, 12.0
-probes = [local_schedule(1.0, epsilon, SearchInstance(n)) for n in (20, 1000, 10**4, 10**6)]
-probes += [parallel_schedule(1.0, math.sqrt(n) / equal_cost_gamma(epsilon, r),
-                             SearchInstance(n), r=r) for n in (20, 1000)]
-for schedule in probes:
-    propagate(schedule)
+probes = [(local_schedule(1.0, epsilon, SearchInstance(n)), DEFAULT_STEPS)
+          for n in (20, 1000, 10**4, 10**6)]
+probes += [(parallel_schedule(1.0, math.sqrt(n) / equal_cost_gamma(epsilon, r),
+                              SearchInstance(n), r=r), DEFAULT_STEPS) for n in (20, 1000)]
+probes.append((parallel_schedule(1.0, 3.1, SearchInstance(37, 5), r=6.5, shape="erf"), 6000))
+for schedule, probe_steps in probes:
+    propagate(schedule, probe_steps)
 fastest = [float("inf")] * len(probes)
 for _ in range(propagate_calls):
-    for k, schedule in enumerate(probes):
+    for k, (schedule, probe_steps) in enumerate(probes):
         start = time.perf_counter()
-        propagate(schedule)
+        propagate(schedule, probe_steps)
         fastest[k] = min(fastest[k], time.perf_counter() - start)
 
 trajectories = []
@@ -166,10 +171,10 @@ def main(argv=None) -> int:
                                                                             zip(*runs_b))
     print("propagate_full, per step, default check batch")
     print(_row("nine rows", full_a, full_b, "us"))
-    print("propagate, per call, summary_sweep probes at the default steps")
+    print("propagate, per call, summary_sweep probes at the default steps and the erf run")
     for k, label in enumerate(PROBES):
         print(_row(label, [c[k] for c in call_a], [c[k] for c in call_b], "ms"))
-    print(_row("all six", [sum(c) for c in call_a], [sum(c) for c in call_b], "ms"))
+    print(_row(f"all {len(PROBES)}", [sum(c) for c in call_a], [sum(c) for c in call_b], "ms"))
     print("write_trajectory_csv, per call, and its traced peak")
     for k, (label, _) in enumerate(WRITES):
         print(_row(label, [w[k] for w in write_a], [w[k] for w in write_b], "ms")
