@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass
 
@@ -60,76 +61,6 @@ _INPUTS = {
 _SWEPT = {"inv_gamma": ("T", "parallel"), "n": ("n", None), "epsilon": ("epsilon", "local")}
 # largest |delta p_m| between the reduced and the full-space run that passes
 CHECK_TOLERANCE = 1e-7
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-
-
-def _seed_state(seed: int) -> list[int]:
-    """`numpy.random.SeedSequence(seed).generate_state(4, numpy.uint64)`, as ints."""
-    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashmix(value: int, mult: int = 0x931E8875) -> int:
-        nonlocal const  # each hash advances the shared multiplier
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
-
-    pool = [hashmix(word) for word in words[:4] + [0] * (4 - len(words))]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD
-    state = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
-    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _Generator:
-    """NumPy's `default_rng(seed).integers(0, n)`, draw for draw, in pure Python.
-
-    `check` draws its marked indices, 2 <= n <= `ORACLE_CAP`; `numpy.random`
-    would cost its process ~5.5 MiB.  `_seed_state` seeds PCG64 (128-bit LCG,
-    XSL-RR output) as NumPy does, and `integers` is NumPy's Lemire draw on
-    32-bit halves of the output words: exact up to n = 2**32, endless above.
-    """
-
-    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed: int) -> None:
-        # as pcg64_set_seed: the state steps from 0 to inc, adds start, steps again
-        start_hi, start_lo, inc_hi, inc_lo = _seed_state(seed)
-        self._inc = (inc_hi << 64 | inc_lo) << 1 & _M128 | 1
-        start = self._inc + (start_hi << 64 | start_lo)
-        self._state = (start * self._MULT + self._inc) & _M128
-        self._half = None  # the upper half of a word whose lower half was drawn
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            word, self._half = self._half, None
-            return word
-        self._state = (self._state * self._MULT + self._inc) & _M128
-        word, rot = (self._state >> 64 ^ self._state) & _M64, self._state >> 122
-        word = (word >> rot | word << (64 - rot)) & _M64
-        self._half = word >> 32
-        return word & _M32
-
-    def integers(self, n: int) -> int:
-        """A uniform draw from [0, n), 2 <= n <= 2**32."""
-        # at n = 2**32 NumPy returns the 32-bit word itself, as this step does
-        m = self._next32() * n
-        if m & _M32 < n:
-            threshold = (2**32 - n) % n
-            while m & _M32 < threshold:
-                m = self._next32() * n
-        return m >> 32
 
 
 @dataclass
@@ -177,17 +108,21 @@ class RunConfig:
         """The parallel window length in units of T; `schedules.DEFAULT_R` if unset."""
         return schedules.DEFAULT_R if self.r is None else self.r
 
+    def _refuse_inputs_not_taken(self) -> None:
+        """Raise InvalidParameter naming a set input the strategy does not take."""
+        for field in ("beta", "alpha", "r", "shape", "epsilon", "T"):
+            if field not in _INPUTS[self.strategy][1] and getattr(self, field) is not None:
+                raise InvalidParameter(
+                    f"--{field} does not apply to the {self.strategy} strategy")
+
     def build(self) -> Schedule:
         """Validate the config against its strategy and build its schedule."""
         if self.n < 2:
             raise InvalidParameter(f"--n must be at least 2, got {self.n}")
         _require_steps(self.steps, "--steps")
         inst = SearchInstance(self.n, self.marked)
-        builder, takes, required = _INPUTS[self.strategy]
-        for field in ("beta", "alpha", "r", "shape", "epsilon", "T"):
-            if field not in takes and getattr(self, field) is not None:
-                raise InvalidParameter(
-                    f"--{field} does not apply to the {self.strategy} strategy")
+        self._refuse_inputs_not_taken()
+        builder, _, required = _INPUTS[self.strategy]
         if getattr(self, required) is None:
             raise InvalidParameter(
                 f"--{required} is required for the {self.strategy} strategy")
@@ -251,9 +186,6 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
     if variable == "epsilon":
         return dataclasses.replace(template, epsilon=float(x))
     if variable == "inv_gamma":
-        if template.epsilon is not None:
-            raise InvalidParameter(
-                "--epsilon does not apply to an inv_gamma sweep; the value fixes T")
         if template.n < 2:
             return template
         return dataclasses.replace(
@@ -267,10 +199,11 @@ def _sweep_point_config(variable: str, x: float, template: RunConfig) -> RunConf
             raise InvalidParameter(
                 "an n sweep over the parallel strategy needs --epsilon "
                 "(sets T via gamma = epsilon*r/2) or an explicit --T")
+        t_par = None
         if n_point >= 2:
             gamma = schedules.equal_cost_gamma(template.epsilon, template.window_r)
             t_par = math.sqrt(n_point) / (template.scale * gamma)
-            return dataclasses.replace(template, n=n_point, T=t_par, epsilon=None)
+        return dataclasses.replace(template, n=n_point, T=t_par, epsilon=None)
     return dataclasses.replace(template, n=n_point)
 
 
@@ -305,7 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.variable == "n" and not values:
         values = _default_n_values()
     if not values:
-        raise InvalidParameter("--values must be non-empty")
+        raise InvalidParameter("--values is required unless sweeping over n")
     bad = [x for x in values if not math.isfinite(x)]
     if bad:
         raise InvalidParameter(f"--values must be finite, got {bad[0]!r}")
@@ -318,6 +251,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"an {args.variable} sweep applies to the {strategy} strategy only")
 
     tasks = [(x, _sweep_point_config(args.variable, x, template)) for x in values]
+    for _, config in tasks:  # build's own refusal, before any point runs
+        config._refuse_inputs_not_taken()
     # increasing values give non-decreasing sizes and printed x: a repeat is adjacent
     for (x, config), (y, next_config) in zip(tasks, tasks[1:]):
         if args.variable == "n" and config.n == next_config.n:
@@ -398,10 +333,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         SearchInstance(n)  # a size above MAX_N exits 2 by its own message
         if n > ORACLE_CAP:
             raise OracleSizeExceeded(f"n={n} exceeds the full-propagation cap {ORACLE_CAP}")
-    rng = _Generator(args.seed)
+    # the reduced run never reads the marked index, so any seeded spread serves
+    rng = random.Random(args.seed)
     batch = []
     for n in args.n_list:
-        marked = rng.integers(n)
+        marked = rng.randrange(n)
         # short windows keep the full-space RK4 cheap; equivalence must hold anyway
         batch += [config.build() for config in (
             RunConfig("linear", n=n, marked=marked, T=50.0, steps=args.steps),

@@ -78,7 +78,8 @@ print(json.dumps({"code": code,
 
 
 def test_check_loads_no_numpy_random(tmp_path):
-    # check draws its marked indices with cli._Generator, not numpy.random
+    # check draws its marked indices with the standard library's random, which
+    # numpy already imports, so numpy.random (~6 MiB) stays unloaded
     proc = _python(["-c", CHECK], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "loaded": []}

@@ -10,6 +10,7 @@ digits on purpose regenerates the manifest with tools/reference_manifest.py.
 import importlib.util
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -61,8 +62,9 @@ def test_reference_output(name, tmp_path, monkeypatch):
     expected = {key: value for key, value in MANIFEST["commands"][name].items()
                 if key != "argv"}
     found = first_difference(name, expected, reference.run(name, COMMANDS[name]))
-    if found and MANIFEST["numpy"] != np.__version__:
-        found += (f" (manifest written with NumPy {MANIFEST['numpy']},"
-                  f" this run uses NumPy {np.__version__})")
+    recorded = f"NumPy {MANIFEST['numpy']}, Python {MANIFEST['python']}"
+    running = f"NumPy {np.__version__}, Python {platform.python_version()}"
+    if found and recorded != running:
+        found += f" (manifest written with {recorded}; this run uses {running})"
     if found:
         pytest.fail(found, pytrace=False)

@@ -9,7 +9,9 @@ tests/test_reference_outputs.py compares against,
 tests/reference_manifest.json.  Per command it keeps the exit code, and
 for stdout, stderr and every output file the sha256 and the text, except
 that a `trajectory.csv` keeps its header, row count and first and last
-rows instead of its ~330 KB.  The manifest also records the NumPy version.
+rows instead of its ~330 KB.  The manifest also records the NumPy and
+Python versions: the digits depend on NumPy, and `check`'s marked indices
+on CPython's `random`.
 
 A change that moves output digits on purpose commits the manifest this
 tool writes for it.
@@ -22,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import tempfile
 
 import numpy as np
@@ -81,7 +84,7 @@ def manifest() -> dict:
                 entries[name] = {"argv": argv, **run(name, argv)}
             finally:
                 os.chdir(start)
-    return {"numpy": np.__version__, "commands": entries}
+    return {"numpy": np.__version__, "python": platform.python_version(), "commands": entries}
 
 
 if __name__ == "__main__":
