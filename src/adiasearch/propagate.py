@@ -56,12 +56,13 @@ schedules, one row each, concatenates their states into one flat vector
 and advances all of them in one loop over the steps, each row with its
 own window and dt; the guards are per row.  A stage derivative takes two
 values per row, one for the row's unmarked entries and one for its
-marked entry, so each stage is held as a source of two entries per row
-and spread over the flat vector by one gather index; no derivative is
-built at full length.  One `np.add.reduceat` per stage reads both what
-a source needs, every row's marked entry and every row's slice sum.  The
-step loop's arithmetic writes into buffers made once per call; only that
-read and the gather return new arrays.  Agreement of p_m between the two
+marked entry, so each stage is held as a source of two entries per row.
+All a source needs of a state, each row's marked entry and slice sum,
+is linear in it: one `np.add.reduceat` reads them at the step's start,
+and each stage's reads are those plus a fixed map of the previous
+source.  One gather index spreads the step's update over the flat
+vector, so a step reads the full state once and writes it once, and no
+stage state is built at full length.  Agreement of p_m between the two
 paths validates the reduction end to end.
 """
 
@@ -438,29 +439,25 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     H psi = a <w|psi> |w> + b psi_m e_m, where <w|psi> |w> puts the
     slice's sum divided by n on every entry.
 
-    So a stage derivative k = -i H u is, per row, a head -i a/n <sum of
-    the slice> on every entry and a tail -i b u_m + head on the marked one.
-    Each stage keeps these 2R values of R rows as its source: the tails,
-    last row first, then the heads.  One `np.add.reduceat(u, reads)` with
-    `reads` = (marked[::-1], starts) returns the values they scale in the
-    same layout: a mark is followed by a lower index (the next mark down,
-    or starts[0] = 0 after the first row's), so it is read alone, and
-    each start sums its row's slice.  One row of coefficients per node,
-    (-i b reversed, -i a/n), scales the read into the source, and each
-    tail then adds its row's head; each schedule writes its two columns
-    of it straight from its own `levels`.  `gather` (R + row on a row's
-    entries, R - 1 - row at its marked index) spreads a scaled source over
-    the vector: a stage state is psi + (dt/2 s)[gather] and the step's update
-    psi + (dt/6 (s1 + 2 (s2 + s3) + s4))[gather], the factor 2 taken as
-    x + x, which is exact as 2x is.  Each entry sees the floating-point
-    operations and operands of a derivative built at full length, in its
-    order up to the commuted sum of the tail, so the results are the same
-    bits.
-
-    A step makes 28 NumPy calls.  The arithmetic writes into buffers made
-    once per call (the sources, the coefficients, the stage state `u` and
-    one scaled source `sc`) and adds the update into `psi`; only the four
-    `np.add.reduceat` and the four `[gather]` return new arrays.
+    So a stage derivative k = -i H u is, per row, a head -i a/n <sum of the
+    slice> on every entry and a tail -i b u_m that the marked entry also
+    gets.  A stage keeps these 2R values of R rows, times dt/2 (the third's
+    times dt), as its source g: the tails, last row first, then the heads.
+    One `np.add.reduceat(psi, reads)` with `reads` = (marked[::-1], starts)
+    reads each row's marked entry and slice sum in the same layout: a mark
+    is followed by a lower index (the next mark down, or starts[0] = 0), so
+    it is read alone.  A stage state psi + h k is never built: its reads are
+    psi_m + g_tail + g_head and sum psi + n g_head + g_tail, with g the
+    previous stage's source, i.e. reads + weight g + g[::-1] (weight 1 on
+    tails, n on heads), as the layout mirrors each row's tail and head.  A
+    row of coefficients per node, (-i b reversed, -i a/n) times dt/2 (each
+    schedule writes its columns from its own `levels`), turns reads into a
+    source.  The update dt/6 (k1 + 2 (k2 + k3) + k4) is then ((g1 + g2) +
+    (g2 + g3) + g4) / 3; each tail adds its head, and `gather` (R + row on a
+    row's entries, R - 1 - row at its mark) spreads it into psi.  A step
+    makes 22 NumPy calls: the read, the gather and the add run over the full
+    state, the other 19 on 2R values into buffers made once per call, each
+    entry from its own row's values.
 
     Every guard is checked before any stepping: an empty batch or `steps`
     outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
@@ -487,20 +484,21 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
     windows = np.array([schedule.window for schedule in schedules])
     dt = (windows[:, 1] - windows[:, 0]) / steps
-    # one dt per source entry: complex, as the products promote them anyway,
-    # and an array, as a Python scalar operand costs a ufunc call more than
-    # the whole product on 2R entries
-    full_dt, half_dt, sixth_dt = (np.concatenate((x[::-1], x)).astype(complex)
-                                  for x in (dt, 0.5 * dt, dt / 6.0))
-    # the four stage sources, with views of their tails and reversed heads
-    stages = np.empty((4, 2 * rows), dtype=complex)
-    s1, s2, s3, s4 = stages
-    (t1, h1), (t2, h2), (t3, h3), (t4, h4) = zip(stages[:, :rows], stages[:, rows:][:, ::-1])
-    u = np.empty_like(psi)
-    sc = np.empty(2 * rows, dtype=complex)
+    # complex arrays of 2R entries: the products promote their operands to
+    # complex anyway, and a Python scalar operand costs a ufunc call more
+    # than the whole product
+    weight = np.concatenate((np.ones(rows), sizes)).astype(complex)
+    third = np.full(2 * rows, 1.0 / 3.0, dtype=complex)
+    # the four scaled stage sources, their mirrors, the first's tails and
+    # reversed heads, and the reads of a stage state
+    g1, g2, g3, g4 = np.empty((4, 2 * rows), dtype=complex)
+    m1, m2, m3 = g1[::-1], g2[::-1], g3[::-1]
+    tails, heads = g1[:rows], g1[rows:][::-1]
+    x = np.empty(2 * rows, dtype=complex)
     add, multiply, reduceat = np.add, np.multiply, np.add.reduceat
 
-    # per node, the coefficients of the reads: -i b, last row first, then -i a / n
+    # per node, dt/2 times the coefficients of the reads: -i b, last row
+    # first, then -i a / n
     coef = np.empty((2 * _FULL_BLOCK + 1, 2 * rows), dtype=complex)
     for first in range(0, steps, _FULL_BLOCK):
         block = min(_FULL_BLOCK, steps - first)
@@ -510,30 +508,31 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             if first + block == steps:
                 grid[-1] = windows[row, 1]
             a, b = schedule.levels(grid)
-            coef[:len(nodes), rows - 1 - row] = -1j * b
-            coef[:len(nodes), rows + row] = -1j * a / schedule.n
-        c = list(coef[:len(nodes)])
-        # each stage: the reads times their coefficients, then each tail
-        # -i b u_m plus its row's head; `out` is passed positionally, as the
-        # keyword costs more per call than the allocation it saves
-        for j in range(0, 2 * block, 2):
-            multiply(c[j], reduceat(psi, reads), s1)
-            add(t1, h1, t1)
-            add(psi, multiply(half_dt, s1, sc)[gather], u)
-            multiply(c[j + 1], reduceat(u, reads), s2)
-            add(t2, h2, t2)
-            add(psi, multiply(half_dt, s2, sc)[gather], u)
-            multiply(c[j + 1], reduceat(u, reads), s3)
-            add(t3, h3, t3)
-            add(psi, multiply(full_dt, s3, sc)[gather], u)
-            multiply(c[j + 2], reduceat(u, reads), s4)
-            add(t4, h4, t4)
-            # dt/6 (s1 + 2 (s2 + s3) + s4), in that order
-            add(s2, s3, sc)
-            add(sc, sc, sc)  # x + x is exact, as 2 x is
-            add(s1, sc, sc)
-            add(sc, s4, sc)
-            add(psi, multiply(sixth_dt, sc, sc)[gather], psi)
+            h = -0.5j * dt[row]
+            coef[:len(nodes), rows - 1 - row] = h * b
+            coef[:len(nodes), rows + row] = h * a / schedule.n
+        c = coef[:len(nodes)]
+        # each stage: the scaled source from the reads (the third's at dt, by
+        # coefficients doubled as x + x, which is exact as 2 x is), then the
+        # next stage's reads; `out` is passed positionally, as the keyword
+        # costs more per call than the allocation it saves
+        for c1, c2, c3, c4 in zip(c[:-1:2], c[1::2], c[1::2] + c[1::2], c[2::2]):
+            r = reduceat(psi, reads)
+            multiply(c1, r, g1)
+            add(r, add(multiply(weight, g1, x), m1, x), x)
+            multiply(c2, x, g2)
+            add(r, add(multiply(weight, g2, x), m2, x), x)
+            multiply(c3, x, g3)
+            add(r, add(multiply(weight, g3, x), m3, x), x)
+            multiply(c4, x, g4)
+            # ((g1 + g2) + (g2 + g3) + g4) / 3, in that order
+            add(g1, g2, g1)
+            add(g2, g3, g2)
+            add(g1, g2, g1)
+            add(g1, g4, g1)
+            multiply(third, g1, g1)
+            add(tails, heads, tails)
+            add(psi, g1[gather], psi)
 
     results = []
     for row, schedule in enumerate(schedules):

@@ -8,9 +8,11 @@ Each of PAIRS pairs starts one fresh interpreter per tree, A first in even
 pairs and B first in odd ones, so a drift of the host's speed hits both sides
 alike.  A process times three things:
 
-* the batch that the default `check` command hands to `propagate_full`
-  (n 4, 20, 128 at seed 0: nine rows): one warm-up call, then CALLS calls
-  of STEPS steps, the fastest in microseconds per step;
+* the batches that two `check` commands hand to `propagate_full`: the
+  default one (n 4, 20, 128 at seed 0: nine rows) and the reference
+  command `check_seed_words` (n 2, 3 and 512, the cap, where the
+  full-length work weighs most): per batch one warm-up call, then CALLS
+  calls of STEPS steps, the fastest in microseconds per step;
 * `propagate` at the default steps on the fixed accuracy probes of the
   benchmark's `summary_sweep` workload (local n = 20, 1e3, 1e4, 1e6 at
   epsilon = 1/11; parallel n = 20, 1e3 at r = 12, T matched to the local
@@ -57,9 +59,15 @@ WRITES = (("local 20 4k", dict(strategy="local", n=20, epsilon=1 / 11, steps=400
           ("erf 50 8k", dict(strategy="parallel", n=50, T=3.5, r=9.5, shape="erf", steps=8000)),
           ("local 4k rows", dict(strategy="local", n=20, epsilon=1 / 11, steps=3999)))
 
-# `check` is run with its `propagate_full` swapped for a recorder that keeps
-# the batch and stops the command, so the timed batch is whatever `check`
-# builds in that tree, before or after any change to its defaults
+# the `check` commands whose `propagate_full` batches are timed: a label and
+# the arguments; the second is the reference command `check_seed_words`
+CHECKS = (("check", ["check"]),
+          ("seed words", ["check", "--seed", "12345678901234567890", "--n-list", "2", "3",
+                          "512", "--steps", "1000", "--full-steps", "8000"]))
+
+# each `check` is run with its `propagate_full` swapped for a recorder that
+# keeps the batch and stops the command, so the timed batch is whatever
+# `check` builds in that tree, before or after any change to its defaults
 _CHILD = """
 import json, math, os, sys, tempfile, time, tracemalloc
 from adiasearch import cli
@@ -67,28 +75,31 @@ from adiasearch.model import SearchInstance
 from adiasearch.propagate import DEFAULT_STEPS, propagate, propagate_full, write_trajectory_csv
 from adiasearch.schedules import equal_cost_gamma, local_schedule, parallel_schedule
 steps, calls, propagate_calls, write_calls = (int(arg) for arg in sys.argv[1:5])
-writes = json.loads(sys.argv[5])
-batch = []
+checks, writes = json.loads(sys.argv[5]), json.loads(sys.argv[6])
+batches = []
 
 class Recorded(Exception):
     pass
 
 def record(schedules, steps):
-    batch.extend(schedules)
+    batches.append(schedules)
     raise Recorded
 
 cli.propagate_full = record
-try:
-    cli.main(["check"])
-except Recorded:
-    pass
-propagate_full(batch, steps)
-best = float("inf")
-for _ in range(calls):
-    start = time.perf_counter()
+for _, argv in checks:
+    try:
+        cli.main(argv)
+    except Recorded:
+        pass
+per_step = []
+for batch in batches:
     propagate_full(batch, steps)
-    best = min(best, time.perf_counter() - start)
-per_step = best / steps * 1e6
+    best = float("inf")
+    for _ in range(calls):
+        start = time.perf_counter()
+        propagate_full(batch, steps)
+        best = min(best, time.perf_counter() - start)
+    per_step.append(best / steps * 1e6)
 
 epsilon, r = 1 / 11, 12.0
 probes = [(local_schedule(1.0, epsilon, SearchInstance(n)), DEFAULT_STEPS)
@@ -129,13 +140,13 @@ print(json.dumps([per_step, [1e3 * s for s in fastest], [1e3 * s for s in writte
 """
 
 
-def _time(src: str) -> tuple[float, list[float], list[float], list[float]]:
-    """(`propagate_full` us per step, `propagate` ms per call of each probe,
-    `write_trajectory_csv` ms per call and KiB of traced peak per call of
-    each run in WRITES)."""
+def _time(src: str) -> tuple[list[float], list[float], list[float], list[float]]:
+    """(`propagate_full` us per step of each batch of CHECKS, `propagate` ms
+    per call of each probe, `write_trajectory_csv` ms per call and KiB of
+    traced peak per call of each run in WRITES)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = [sys.executable, "-c", _CHILD, str(STEPS), str(CALLS), str(PROPAGATE_CALLS),
-            str(WRITE_CALLS), json.dumps(WRITES)]
+            str(WRITE_CALLS), json.dumps(CHECKS), json.dumps(WRITES)]
     out = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
     per_step, per_call, per_write, peaks = json.loads(out)
     return per_step, per_call, per_write, peaks
@@ -162,15 +173,17 @@ def main(argv=None) -> int:
         for src, runs in (sides if pair % 2 == 0 else sides[::-1]):
             runs.append(_time(src))
         (full_a, call_a, write_a, _), (full_b, call_b, write_b, _) = runs_a[-1], runs_b[-1]
-        print(f"pair {pair}: propagate_full A {full_a:.2f}  B {full_b:.2f} us/step;"
+        print(f"pair {pair}: propagate_full A {full_a[0]:.2f}/{full_a[1]:.2f}"
+              f"  B {full_b[0]:.2f}/{full_b[1]:.2f} us/step;"
               f" propagate A {sum(call_a):.2f}  B {sum(call_b):.2f} ms per probe round;"
               f" write A {sum(write_a):.2f}  B {sum(write_b):.2f} ms per round",
               flush=True)
     print(f"A = {src_a}\nB = {src_b}")
     (full_a, call_a, write_a, peak_a), (full_b, call_b, write_b, peak_b) = (zip(*runs_a),
                                                                             zip(*runs_b))
-    print("propagate_full, per step, default check batch")
-    print(_row("nine rows", full_a, full_b, "us"))
+    print("propagate_full, per step, the batches of `check` and `check_seed_words`")
+    for k, (label, _) in enumerate(CHECKS):
+        print(_row(label, [f[k] for f in full_a], [f[k] for f in full_b], "us"))
     print("propagate, per call, summary_sweep probes at the default steps and the erf run")
     for k, label in enumerate(PROBES):
         print(_row(label, [c[k] for c in call_a], [c[k] for c in call_b], "ms"))
