@@ -51,19 +51,14 @@ The half run is stepped only when the estimate is first read
 two-level reduction: it integrates the full n-dimensional Schrodinger
 equation with classic RK4, applying H through its rank-two factors
 (H psi = a <w|psi> |w> + b psi_m e_m, O(n) per product), with the
-marked index each schedule keeps from its instance.  It takes a batch of
-schedules, one row each, concatenates their states into one flat vector
-and advances all of them in one loop over the steps, each row with its
-own window and dt; the guards are per row.  A stage derivative takes two
-values per row, one for the row's unmarked entries and one for its
-marked entry, so each stage is held as a source of two entries per row.
-All a source needs of a state, each row's marked entry and slice sum,
-is linear in it: one `np.add.reduceat` reads them at the step's start,
-and each stage's reads are those plus a fixed map of the previous
-source.  One gather index spreads the step's update over the flat
-vector, so a step reads the full state once and writes it once, and no
-stage state is built at full length.  Agreement of p_m between the two
-paths validates the reduction end to end.
+marked index each schedule keeps from its instance.  It advances a batch
+of schedules, one row each, in one flat state vector and one loop over
+the steps, each row with its own window and dt; the guards are per row.
+A step's update is linear in each row's marked entry and slice sum, so
+it is a per-row 2x2 map of them, folded from the step's coefficients
+before the loop: a step reads the full state once, applies its map on
+two values per row and writes the state once.  Agreement of p_m between
+the two paths validates the reduction end to end.
 """
 
 from __future__ import annotations
@@ -106,9 +101,12 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _COMMUTATOR = math.sqrt(3.0) / 6.0
 _EPS = float(np.finfo(float).eps)
 
-# steps of `propagate_full` whose couplings are sampled at once; keeps the
-# coefficient arrays small whatever `steps` is
+# steps of `propagate_full` whose couplings are sampled at once, and whose
+# step maps are folded at once: keeps the coefficient arrays small whatever
+# `steps` is, and each fold array (~58 KiB at `check`'s nine rows) under the
+# mmap threshold
 _FULL_BLOCK = 1000
+_FOLD = 200
 
 
 # the trajectory.csv header, and the names of the trajectory's columns
@@ -428,6 +426,35 @@ DEFAULT_FULL_STEPS = 30_000
 ORACLE_CAP = 512
 
 
+def _rk4_maps(c: np.ndarray, weight: np.ndarray):
+    """Per step, the arrays (d, e) of its RK4 update u = d r + e r[::-1].
+
+    r is the step's reads in `propagate_full`'s layout: tails (marked
+    entries), last row first, then heads (slice sums), so r[::-1] pairs
+    each read with its row's other one.  `c` holds the 2m + 1 node rows of
+    m steps, dt/2 times (-i b, -i a/n) in that layout, and `weight` is 1 on
+    tails and n on heads.  A stage source g, its tail -i b u_m and head
+    -i a/n sum u times dt/2 (the third's times dt), is kept as the (d, e)
+    of g = d r + e r[::-1].  The next stage state psi + g reads
+    r + weight g + g[::-1], and its source is the next coefficient row
+    times that.  The update dt/6 (k1 + 2 (k2 + k3) + k4) is
+    (g1 + 2 g2 + g3 + g4) / 3, and each tail adds its head, as the marked
+    entry gets both.  Every operation is elementwise on a row's own values.
+    """
+    c1, c2, c4 = c[:-1:2], c[1::2], c[2::2]
+    d, e = c1, np.zeros_like(c1)
+    sum_d, sum_e = d, e
+    for scale, share in ((c2, 2.0), (c2 + c2, 1.0), (c4, 1.0)):
+        d, e = (scale * (1.0 + weight * d + e[:, ::-1]),
+                scale * (weight * e + d[:, ::-1]))
+        sum_d, sum_e = sum_d + share * d, sum_e + share * e
+    d, e = sum_d / 3.0, sum_e / 3.0
+    rows = len(weight) // 2
+    d[:, :rows] += e[:, rows:][:, ::-1]
+    e[:, :rows] += d[:, rows:][:, ::-1]
+    return d, e
+
+
 def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -> list[RunResult]:
     """Full n-dimensional RK4 cross-check of a batch of schedules; one RunResult each.
 
@@ -439,25 +466,15 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
     H psi = a <w|psi> |w> + b psi_m e_m, where <w|psi> |w> puts the
     slice's sum divided by n on every entry.
 
-    So a stage derivative k = -i H u is, per row, a head -i a/n <sum of the
-    slice> on every entry and a tail -i b u_m that the marked entry also
-    gets.  A stage keeps these 2R values of R rows, times dt/2 (the third's
-    times dt), as its source g: the tails, last row first, then the heads.
-    One `np.add.reduceat(psi, reads)` with `reads` = (marked[::-1], starts)
-    reads each row's marked entry and slice sum in the same layout: a mark
-    is followed by a lower index (the next mark down, or starts[0] = 0), so
-    it is read alone.  A stage state psi + h k is never built: its reads are
-    psi_m + g_tail + g_head and sum psi + n g_head + g_tail, with g the
-    previous stage's source, i.e. reads + weight g + g[::-1] (weight 1 on
-    tails, n on heads), as the layout mirrors each row's tail and head.  A
-    row of coefficients per node, (-i b reversed, -i a/n) times dt/2 (each
-    schedule writes its columns from its own `levels`), turns reads into a
-    source.  The update dt/6 (k1 + 2 (k2 + k3) + k4) is then ((g1 + g2) +
-    (g2 + g3) + g4) / 3; each tail adds its head, and `gather` (R + row on a
-    row's entries, R - 1 - row at its mark) spreads it into psi.  A step
-    makes 22 NumPy calls: the read, the gather and the add run over the full
-    state, the other 19 on 2R values into buffers made once per call, each
-    entry from its own row's values.
+    So an RK4 step adds a head to every entry of a row and a tail to its
+    marked entry, both linear in the row's marked entry and slice sum at
+    the step's start.  One `np.add.reduceat(psi, reads)` reads these 2R
+    values of R rows, the marks last row first, then the slice sums (a
+    mark is followed by a lower index, so it is read alone).  The update
+    is u = d r + e r[::-1], with (d, e) folded by `_rk4_maps` from each
+    schedule's `levels`, `_FOLD` steps at a time, and `gather` (R + row on
+    a row's entries, R - 1 - row at its mark) spreads it into psi.  A step
+    makes 6 NumPy calls, three at full length.
 
     Every guard is checked before any stepping: an empty batch or `steps`
     outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
@@ -484,17 +501,8 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
     windows = np.array([schedule.window for schedule in schedules])
     dt = (windows[:, 1] - windows[:, 0]) / steps
-    # complex arrays of 2R entries: the products promote their operands to
-    # complex anyway, and a Python scalar operand costs a ufunc call more
-    # than the whole product
-    weight = np.concatenate((np.ones(rows), sizes)).astype(complex)
-    third = np.full(2 * rows, 1.0 / 3.0, dtype=complex)
-    # the four scaled stage sources, their mirrors, the first's tails and
-    # reversed heads, and the reads of a stage state
-    g1, g2, g3, g4 = np.empty((4, 2 * rows), dtype=complex)
-    m1, m2, m3 = g1[::-1], g2[::-1], g3[::-1]
-    tails, heads = g1[:rows], g1[rows:][::-1]
-    x = np.empty(2 * rows, dtype=complex)
+    weight = np.concatenate((np.ones(rows), sizes))
+    u, x = np.empty((2, 2 * rows), dtype=complex)
     add, multiply, reduceat = np.add, np.multiply, np.add.reduceat
 
     # per node, dt/2 times the coefficients of the reads: -i b, last row
@@ -511,28 +519,13 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
             h = -0.5j * dt[row]
             coef[:len(nodes), rows - 1 - row] = h * b
             coef[:len(nodes), rows + row] = h * a / schedule.n
-        c = coef[:len(nodes)]
-        # each stage: the scaled source from the reads (the third's at dt, by
-        # coefficients doubled as x + x, which is exact as 2 x is), then the
-        # next stage's reads; `out` is passed positionally, as the keyword
-        # costs more per call than the allocation it saves
-        for c1, c2, c3, c4 in zip(c[:-1:2], c[1::2], c[1::2] + c[1::2], c[2::2]):
-            r = reduceat(psi, reads)
-            multiply(c1, r, g1)
-            add(r, add(multiply(weight, g1, x), m1, x), x)
-            multiply(c2, x, g2)
-            add(r, add(multiply(weight, g2, x), m2, x), x)
-            multiply(c3, x, g3)
-            add(r, add(multiply(weight, g3, x), m3, x), x)
-            multiply(c4, x, g4)
-            # ((g1 + g2) + (g2 + g3) + g4) / 3, in that order
-            add(g1, g2, g1)
-            add(g2, g3, g2)
-            add(g1, g2, g1)
-            add(g1, g4, g1)
-            multiply(third, g1, g1)
-            add(tails, heads, tails)
-            add(psi, g1[gather], psi)
+        for fold in range(0, block, _FOLD):
+            # `out` is passed positionally, as the keyword costs more per
+            # call than the allocation it saves
+            for d, e in zip(*_rk4_maps(coef[2 * fold:2 * min(fold + _FOLD, block) + 1], weight)):
+                r = reduceat(psi, reads)
+                add(multiply(d, r, u), multiply(e, r[::-1], x), u)
+                add(psi, u[gather], psi)
 
     results = []
     for row, schedule in enumerate(schedules):

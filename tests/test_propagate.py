@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adiasearch import cli
 from adiasearch.analytics import local_loss_exact, parallel_loss_asymptotic
 from adiasearch.errors import (
     DegeneratePoint,
@@ -246,7 +247,8 @@ class TestBatchOracle:
         # marks first, last and in the middle of their slices, so the gather
         # index is checked at every slice edge; 1,500 and 2,500 steps end on a
         # short block, whose coefficient rows are trimmed and whose grid ends
-        # at the window's end
+        # at the window's end, and on a short fold of 100 steps; at 1,030 the
+        # last block is 30 steps, shorter than one fold
         scheds = []
         for n in (2, 3, 7):
             first, last, middle = (SearchInstance(n, m) for m in (0, n - 1, n // 2))
@@ -254,7 +256,7 @@ class TestBatchOracle:
                        local_schedule(1.0, 0.2, last),
                        parallel_schedule(1.0, 0.6 * math.sqrt(n), middle, r=8.0),
                        parallel_schedule(1.0, 0.6 * math.sqrt(n), first, r=8.0, shape="erf")]
-        for steps in (self.STEPS, 1500, 2500):
+        for steps in (self.STEPS, 1030, 1500, 2500):
             for sched, result in zip(scheds, propagate_full(scheds, steps=steps)):
                 p_m, p_minus = dense_rk4(sched, steps)
                 assert abs(result.p_m_final - p_m) <= 1e-13
@@ -286,22 +288,22 @@ class TestBatchOracle:
             assert propagate_full([sched], steps=MIN_STEPS) == [result]
 
     def test_bits_of_every_kind(self):
-        # float.hex of each RunResult field, recorded from the loop that reads
-        # the state once per step and takes each stage's reads by linearity;
-        # erf rows, which `check` never runs, included
+        # float.hex of each RunResult field, recorded from the loop that
+        # applies each step's folded per-row map; erf rows, which `check`
+        # never runs, included
         expected = [
-            ("0x1.ffe137657ae14p-1", "0x1.ec8976dd78d2ap-13", "0x1.8ba3a00000000p-33"),
-            ("0x1.f4a0e884f636ap-1", "0x1.6be2ef6134042p-6", "0x1.4b00000000000p-45"),
-            ("0x1.b79edf2a4a4fbp-1", "0x1.21641d4822035p-3", "0x1.6b00000000000p-44"),
-            ("0x1.9282bb8866194p-1", "0x1.b5f511a046b5ap-3", "0x1.4b80000000000p-44"),
-            ("0x1.ff0bd3932a313p-1", "0x1.e858d50ab239ep-10", "0x1.283ae00000000p-33"),
-            ("0x1.f904a4441a7c7p-1", "0x1.bed6eef82bb7fp-7", "0x1.3530000000000p-40"),
-            ("0x1.a98fee5bcb19fp-1", "0x1.5953c4ee8aa7ap-3", "0x1.08c0000000000p-42"),
-            ("0x1.6f9c3a446d97bp-1", "0x1.20c78b062909cp-2", "0x1.c340000000000p-43"),
-            ("0x1.fcd97e3db5cf5p-2", "0x1.019340d8e8b4cp-1", "0x1.078c6c0000000p-31"),
-            ("0x1.f0904a47cde64p-1", "0x1.edf6b568a67f8p-6", "0x1.9d9cb80000000p-31"),
-            ("0x1.ccf4e0a82e445p-1", "0x1.9509771f682adp-4", "0x1.06aaa00000000p-34"),
-            ("0x1.970de92a9963dp-1", "0x1.a3c8571669a1ep-3", "0x1.a0ff800000000p-35"),
+            ("0x1.ffe137657ae1ep-1", "0x1.ec8976dd78bcdp-13", "0x1.8ba3400000000p-33"),
+            ("0x1.f4a0e884f637bp-1", "0x1.6be2ef613402fp-6", "0x1.4200000000000p-45"),
+            ("0x1.b79edf2a4a4ffp-1", "0x1.21641d482202ap-3", "0x1.6a00000000000p-44"),
+            ("0x1.9282bb886618dp-1", "0x1.b5f511a046b60p-3", "0x1.4c80000000000p-44"),
+            ("0x1.ff0bd3932a301p-1", "0x1.e858d50ab22fep-10", "0x1.283b700000000p-33"),
+            ("0x1.f904a4441a7dfp-1", "0x1.bed6eef82bbafp-7", "0x1.34d0000000000p-40"),
+            ("0x1.a98fee5bcb19dp-1", "0x1.5953c4ee8aa86p-3", "0x1.08a0000000000p-42"),
+            ("0x1.6f9c3a446d979p-1", "0x1.20c78b062909cp-2", "0x1.c380000000000p-43"),
+            ("0x1.fcd97e3db5d08p-2", "0x1.019340d8e8b4ap-1", "0x1.078c600000000p-31"),
+            ("0x1.f0904a47cde4ep-1", "0x1.edf6b568a6835p-6", "0x1.9d9ce00000000p-31"),
+            ("0x1.ccf4e0a82e445p-1", "0x1.9509771f682c2p-4", "0x1.06aa800000000p-34"),
+            ("0x1.970de92a9965ap-1", "0x1.a3c8571669a17p-3", "0x1.a0fc400000000p-35"),
         ]
         scheds = []
         for n in (2, 5, 64):
@@ -313,6 +315,37 @@ class TestBatchOracle:
         got = [(r.p_m_final.hex(), r.p_loss.hex(), r.norm_drift.hex())
                for r in propagate_full(scheds, steps=2500)]
         assert got == expected
+
+    def test_peak_memory(self, monkeypatch, tmp_path):
+        # the couplings are sampled `_FULL_BLOCK` steps at a time and the step
+        # maps folded `_FOLD` steps at a time, so on `check`'s default batch
+        # the traced peak does not grow with the steps, and stays below 1.5 MiB
+        # (1,463 KiB for the loop that took each stage's reads one by one,
+        # 3,443 KiB with whole blocks folded at once)
+        class Recorded(Exception):
+            pass
+
+        def record(batch, steps):
+            batches.append(batch)
+            raise Recorded
+
+        batches = []
+        monkeypatch.setattr(cli, "propagate_full", record)
+        with pytest.raises(Recorded):
+            cli.main(["check", "--output", str(tmp_path)])
+        [batch] = batches
+        peaks = []
+        tracemalloc.start()
+        try:
+            for steps in (2000, 30_000):
+                tracemalloc.reset_peak()
+                propagate_full(batch, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # the peaks differ by a few hundred bytes of Python objects
+        assert abs(peaks[1] - peaks[0]) < 2**13
+        assert max(peaks) < 1.5 * 2**20
 
     @pytest.mark.parametrize("layout", [
         ((2, 1), (2, 0)),

@@ -1,5 +1,6 @@
 """Time `propagate_full` per step, and `propagate` and `write_trajectory_csv`
-per call, on two source trees, in alternating processes.
+per call, on two source trees, in alternating processes; trace the peak of
+one `propagate_full` and of one writer call.
 
 Usage: python tools/step_timing.py SRC_A SRC_B
 
@@ -11,8 +12,9 @@ alike.  A process times three things:
 * the batches that two `check` commands hand to `propagate_full`: the
   default one (n 4, 20, 128 at seed 0: nine rows) and the reference
   command `check_seed_words` (n 2, 3 and 512, the cap, where the
-  full-length work weighs most): per batch one warm-up call, then CALLS
-  calls of STEPS steps, the fastest in microseconds per step;
+  full-length work weighs most): per batch one warm-up call, then one
+  call under `tracemalloc` for its traced allocation peak in KiB, then
+  CALLS calls of STEPS steps, the fastest in microseconds per step;
 * `propagate` at the default steps on the fixed accuracy probes of the
   benchmark's `summary_sweep` workload (local n = 20, 1e3, 1e4, 1e6 at
   epsilon = 1/11; parallel n = 20, 1e3 at r = 12, T matched to the local
@@ -33,10 +35,11 @@ alike.  A process times three things:
 
 The script prints every pair and three tables: each side's median per step,
 per probe call and per write, the median ratio B/A and the number of pairs
-in which B was faster; the write table also gives each side's traced peak
-of one call, which does not vary between processes.  Perfbench's
-`--trace 1` layer times are raw wall seconds from one run per side; this
-times the integrators and the writer alone, over many pairs.
+in which B was faster; the `propagate_full` and write tables also give
+each side's traced peak of one call, which does not vary between
+processes.  Perfbench's `--trace 1` layer times are raw wall seconds from
+one run per side; this times the integrators and the writer alone, over
+many pairs.
 """
 
 import json
@@ -91,9 +94,13 @@ for _, argv in checks:
         cli.main(argv)
     except Recorded:
         pass
-per_step = []
+per_step, full_peaks = [], []
 for batch in batches:
     propagate_full(batch, steps)
+    tracemalloc.start()
+    propagate_full(batch, steps)
+    full_peaks.append(tracemalloc.get_traced_memory()[1] / 1024)
+    tracemalloc.stop()
     best = float("inf")
     for _ in range(calls):
         start = time.perf_counter()
@@ -136,20 +143,21 @@ with tempfile.TemporaryDirectory() as tmp:
             start = time.perf_counter()
             write_trajectory_csv(trajectory, path)
             written[k] = min(written[k], time.perf_counter() - start)
-print(json.dumps([per_step, [1e3 * s for s in fastest], [1e3 * s for s in written], peaks]))
+print(json.dumps([per_step, full_peaks, [1e3 * s for s in fastest], [1e3 * s for s in written],
+                  peaks]))
 """
 
 
-def _time(src: str) -> tuple[list[float], list[float], list[float], list[float]]:
-    """(`propagate_full` us per step of each batch of CHECKS, `propagate` ms
-    per call of each probe, `write_trajectory_csv` ms per call and KiB of
-    traced peak per call of each run in WRITES)."""
+def _time(src: str) -> list[list[float]]:
+    """[`propagate_full` us per step and KiB of traced peak per call of each
+    batch of CHECKS, `propagate` ms per call of each probe,
+    `write_trajectory_csv` ms per call and KiB of traced peak per call of
+    each run in WRITES]."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = [sys.executable, "-c", _CHILD, str(STEPS), str(CALLS), str(PROPAGATE_CALLS),
             str(WRITE_CALLS), json.dumps(CHECKS), json.dumps(WRITES)]
     out = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
-    per_step, per_call, per_write, peaks = json.loads(out)
-    return per_step, per_call, per_write, peaks
+    return json.loads(out)
 
 
 def _row(label: str, a: list[float], b: list[float], unit: str) -> str:
@@ -172,18 +180,20 @@ def main(argv=None) -> int:
         sides = [(src_a, runs_a), (src_b, runs_b)]
         for src, runs in (sides if pair % 2 == 0 else sides[::-1]):
             runs.append(_time(src))
-        (full_a, call_a, write_a, _), (full_b, call_b, write_b, _) = runs_a[-1], runs_b[-1]
+        (full_a, _, call_a, write_a, _), (full_b, _, call_b, write_b, _) = runs_a[-1], runs_b[-1]
         print(f"pair {pair}: propagate_full A {full_a[0]:.2f}/{full_a[1]:.2f}"
               f"  B {full_b[0]:.2f}/{full_b[1]:.2f} us/step;"
               f" propagate A {sum(call_a):.2f}  B {sum(call_b):.2f} ms per probe round;"
               f" write A {sum(write_a):.2f}  B {sum(write_b):.2f} ms per round",
               flush=True)
     print(f"A = {src_a}\nB = {src_b}")
-    (full_a, call_a, write_a, peak_a), (full_b, call_b, write_b, peak_b) = (zip(*runs_a),
-                                                                            zip(*runs_b))
-    print("propagate_full, per step, the batches of `check` and `check_seed_words`")
+    ((full_a, full_peak_a, call_a, write_a, peak_a),
+     (full_b, full_peak_b, call_b, write_b, peak_b)) = zip(*runs_a), zip(*runs_b)
+    print("propagate_full, per step, the batches of `check` and `check_seed_words`,"
+          " and its traced peak")
     for k, (label, _) in enumerate(CHECKS):
-        print(_row(label, [f[k] for f in full_a], [f[k] for f in full_b], "us"))
+        print(_row(label, [f[k] for f in full_a], [f[k] for f in full_b], "us")
+              + f"  peak A {full_peak_a[0][k]:.0f}  B {full_peak_b[0][k]:.0f} KiB")
     print("propagate, per call, summary_sweep probes at the default steps and the erf run")
     for k, label in enumerate(PROBES):
         print(_row(label, [c[k] for c in call_a], [c[k] for c in call_b], "ms"))
