@@ -52,13 +52,14 @@ two-level reduction: it integrates the full n-dimensional Schrodinger
 equation with classic RK4, applying H through its rank-two factors
 (H psi = a <w|psi> |w> + b psi_m e_m, O(n) per product), with the
 marked index each schedule keeps from its instance.  It advances a batch
-of schedules, one row each, in one flat state vector and one loop over
-the steps, each row with its own window and dt; the guards are per row.
-A step's update is linear in each row's marked entry and slice sum, so
-it is a per-row 2x2 map of them, folded from the step's coefficients
-before the loop: a step reads the full state once, applies its map on
-two values per row and writes the state once.  Agreement of p_m between
-the two paths validates the reduction end to end.
+of schedules, one row each, in one flat state vector, each row with its
+own window and dt; the guards are per row.  A step's update and the
+reads after it are linear in each row's marked entry and slice sum, so a
+step is a per-row 2x2 map of them, and `_compose` multiplies the maps of
+each `_FOLD` steps by pairwise halving: a fold reads the full state once,
+applies one map on two values per row and writes the state once.
+Agreement of p_m between the two paths validates the reduction end to
+end.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ _COMMUTATOR = math.sqrt(3.0) / 6.0
 _EPS = float(np.finfo(float).eps)
 
 # steps of `propagate_full` whose couplings are sampled at once, and whose
-# step maps are folded at once: keeps the coefficient arrays small whatever
-# `steps` is, and each fold array (~58 KiB at `check`'s nine rows) under the
-# mmap threshold
+# step maps are built and composed at once: keeps the coefficient arrays
+# small whatever `steps` is, and each fold array, a pair of maps per read
+# and step (~113 KiB at `check`'s nine rows), under the mmap threshold
 _FULL_BLOCK = 1000
 _FOLD = 200
 
@@ -316,20 +317,23 @@ def _product(alpha2, beta2, alpha1, beta1):
             beta2 * alpha1 + np.conj(alpha2) * beta1)
 
 
-def _compose(alpha: np.ndarray, beta: np.ndarray):
-    """Product of the pairs along the last axis, later steps to the left.
+def _compose(*maps: np.ndarray, product=_product):
+    """Product of the maps along the last axis, later steps to the left.
 
-    Pairwise halving: log2(width) elementwise passes, no loop over steps.
+    The arrays `maps` together hold one map per index of their last axis,
+    and `product(*later, *earlier)` multiplies two (by default `_product`'s
+    SU(2) pairs).  Pairwise halving: log2(width) elementwise passes, no
+    loop over steps.
     """
-    while alpha.shape[-1] > 1:
-        even = alpha.shape[-1] // 2 * 2
-        prod_a, prod_b = _product(alpha[..., 1:even:2], beta[..., 1:even:2],
-                                  alpha[..., 0:even:2], beta[..., 0:even:2])
-        if even < alpha.shape[-1]:
-            prod_a = np.concatenate((prod_a, alpha[..., even:]), axis=-1)
-            prod_b = np.concatenate((prod_b, beta[..., even:]), axis=-1)
-        alpha, beta = prod_a, prod_b
-    return alpha[..., 0], beta[..., 0]
+    while maps[0].shape[-1] > 1:
+        even = maps[0].shape[-1] // 2 * 2
+        prod = product(*(x[..., 1:even:2] for x in maps), *(x[..., 0:even:2] for x in maps))
+        if even < maps[0].shape[-1]:
+            prod = [np.concatenate((p, x[..., even:]), axis=-1) for p, x in zip(prod, maps)]
+        maps = prod
+    # a list, as `tuple` of a generator resizes the tuple it builds, and the
+    # freed tuples would fill CPython's free list by one per call
+    return [x[..., 0] for x in maps]
 
 
 def _running_products(alpha: np.ndarray, beta: np.ndarray):
@@ -426,33 +430,51 @@ DEFAULT_FULL_STEPS = 30_000
 ORACLE_CAP = 512
 
 
-def _rk4_maps(c: np.ndarray, weight: np.ndarray):
-    """Per step, the arrays (d, e) of its RK4 update u = d r + e r[::-1].
+def _rk4_product(x2, y2, x1, y1):
+    """Map of step 1 then step 2, each (x, y) in `_rk4_maps`' layout.
 
-    r is the step's reads in `propagate_full`'s layout: tails (marked
-    entries), last row first, then heads (slice sums), so r[::-1] pairs
-    each read with its row's other one.  `c` holds the 2m + 1 node rows of
-    m steps, dt/2 times (-i b, -i a/n) in that layout, and `weight` is 1 on
-    tails and n on heads.  A stage source g, its tail -i b u_m and head
-    -i a/n sum u times dt/2 (the third's times dt), is kept as the (d, e)
-    of g = d r + e r[::-1].  The next stage state psi + g reads
-    r + weight g + g[::-1], and its source is the next coefficient row
-    times that.  The update dt/6 (k1 + 2 (k2 + k3) + k4) is
-    (g1 + 2 g2 + g3 + g4) / 3, and each tail adds its head, as the marked
-    entry gets both.  Every operation is elementwise on a row's own values.
+    Read maps compose as (p2 p1 + q2 q1[::-1], p2 q1 + q2 p1[::-1]).  The
+    update of both steps adds step 2's update of the reads after step 1 to
+    step 1's, so it composes like a read map with d1 and e1 added.
     """
-    c1, c2, c4 = c[:-1:2], c[1::2], c[2::2]
-    d, e = c1, np.zeros_like(c1)
-    sum_d, sum_e = d, e
+    p1, q1 = x1[0], y1[0]
+    x = x2 * p1 + y2 * q1[::-1]
+    y = x2 * q1 + y2 * p1[::-1]
+    x[1] += x1[1]
+    y[1] += y1[1]
+    return x, y
+
+
+def _rk4_maps(c: np.ndarray, weight: np.ndarray):
+    """Per step along the last axis, x = (p, d) and y = (q, e): its update
+    d r + e r[::-1] (the tail on the marked entry, the head on every entry)
+    and the reads p r + q r[::-1] after it.
+
+    r is the reads at the step's start in `propagate_full`'s layout: tails
+    (marked entries), last row first, then heads (slice sums), so r[::-1]
+    pairs each read with its row's other one.  `c` holds the 2m + 1 node
+    columns of m steps, dt/2 times (-i b, -i a/n) in that layout, and
+    `weight` is 1 on tails and n on heads.  A stage source g, its tail
+    -i b u_m and head -i a/n sum u times dt/2 (the third's times dt), is
+    kept as the (d, e) of g = d r + e r[::-1].  The stage state psi + g
+    reads r + weight g + g[::-1], and the next source is the next
+    coefficient column times that.  The update dt/6 (k1 + 2 (k2 + k3) + k4)
+    is (g1 + 2 g2 + g3 + g4) / 3 and moves the reads as a source does.
+    Every operation is elementwise on a row's own values.
+    """
+    c1, c2, c4 = c[:, :-1:2], c[:, 1::2], c[:, 2::2]
+    g = np.zeros((2,) + c1.shape, dtype=complex)
+    g[0] = c1
+    total = g.copy()
     for scale, share in ((c2, 2.0), (c2 + c2, 1.0), (c4, 1.0)):
-        d, e = (scale * (1.0 + weight * d + e[:, ::-1]),
-                scale * (weight * e + d[:, ::-1]))
-        sum_d, sum_e = sum_d + share * d, sum_e + share * e
-    d, e = sum_d / 3.0, sum_e / 3.0
-    rows = len(weight) // 2
-    d[:, :rows] += e[:, rows:][:, ::-1]
-    e[:, :rows] += d[:, rows:][:, ::-1]
-    return d, e
+        g = weight * g + g[::-1, ::-1]
+        g[0] += 1.0
+        g *= scale
+        total += share * g
+    total /= 3.0
+    after = weight * total + total[::-1, ::-1]
+    after[0] += 1.0
+    return np.stack((after[0], total[0])), np.stack((after[1], total[1]))
 
 
 def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -> list[RunResult]:
@@ -460,21 +482,23 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
     Row i propagates schedules[i] at its own n and marked index, over its
     own window with its own dt = window / steps.  The rows' states are
-    concatenated into one flat vector, and one loop over the steps
-    advances them all.  H is applied through its rank-two factors on each
-    row's own slice, never through the two-level reduction:
-    H psi = a <w|psi> |w> + b psi_m e_m, where <w|psi> |w> puts the
-    slice's sum divided by n on every entry.
+    concatenated into one flat vector and advanced together.  H is applied
+    through its rank-two factors on each row's own slice, never through
+    the two-level reduction: H psi = a <w|psi> |w> + b psi_m e_m, where
+    <w|psi> |w> puts the slice's sum divided by n on every entry.
 
     So an RK4 step adds a head to every entry of a row and a tail to its
     marked entry, both linear in the row's marked entry and slice sum at
-    the step's start.  One `np.add.reduceat(psi, reads)` reads these 2R
-    values of R rows, the marks last row first, then the slice sums (a
-    mark is followed by a lower index, so it is read alone).  The update
-    is u = d r + e r[::-1], with (d, e) folded by `_rk4_maps` from each
-    schedule's `levels`, `_FOLD` steps at a time, and `gather` (R + row on
-    a row's entries, R - 1 - row at its mark) spreads it into psi.  A step
-    makes 6 NumPy calls, three at full length.
+    the step's start, and so are these two values after the step.  One
+    `np.add.reduceat(psi, reads)` reads these 2R values of R rows, the
+    marks last row first, then the slice sums (a mark is followed by a
+    lower index, so it is read alone).  `_rk4_maps` builds each step's
+    maps from each schedule's `levels`, and `_compose` multiplies the
+    maps of `_FOLD` steps at a time by pairwise halving, so a fold's
+    update is u = d r + e r[::-1] of its first read.  `gather` (R + row on
+    a row's entries, R - 1 - row at its mark) spreads it into psi: one read
+    and one write of the full state per fold, and Python loops over the
+    blocks, the folds and the halving levels only.
 
     Every guard is checked before any stepping: an empty batch or `steps`
     outside [`MIN_STEPS`, `MAX_STEPS`] (InvalidParameter), and a row with n above
@@ -501,13 +525,11 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
 
     windows = np.array([schedule.window for schedule in schedules])
     dt = (windows[:, 1] - windows[:, 0]) / steps
-    weight = np.concatenate((np.ones(rows), sizes))
-    u, x = np.empty((2, 2 * rows), dtype=complex)
-    add, multiply, reduceat = np.add, np.multiply, np.add.reduceat
+    weight = np.concatenate((np.ones(rows), sizes))[:, None]
 
-    # per node, dt/2 times the coefficients of the reads: -i b, last row
+    # per read, dt/2 times its coefficient at each node: -i b, last row
     # first, then -i a / n
-    coef = np.empty((2 * _FULL_BLOCK + 1, 2 * rows), dtype=complex)
+    coef = np.empty((2 * rows, 2 * _FULL_BLOCK + 1), dtype=complex)
     for first in range(0, steps, _FULL_BLOCK):
         block = min(_FULL_BLOCK, steps - first)
         nodes = np.arange(2 * first, 2 * (first + block) + 1)
@@ -517,15 +539,16 @@ def propagate_full(schedules: list[Schedule], steps: int = DEFAULT_FULL_STEPS) -
                 grid[-1] = windows[row, 1]
             a, b = schedule.levels(grid)
             h = -0.5j * dt[row]
-            coef[:len(nodes), rows - 1 - row] = h * b
-            coef[:len(nodes), rows + row] = h * a / schedule.n
+            coef[rows - 1 - row, :len(nodes)] = h * b
+            coef[rows + row, :len(nodes)] = h * a / schedule.n
         for fold in range(0, block, _FOLD):
-            # `out` is passed positionally, as the keyword costs more per
-            # call than the allocation it saves
-            for d, e in zip(*_rk4_maps(coef[2 * fold:2 * min(fold + _FOLD, block) + 1], weight)):
-                r = reduceat(psi, reads)
-                add(multiply(d, r, u), multiply(e, r[::-1], x), u)
-                add(psi, u[gather], psi)
+            columns = coef[:, 2 * fold:2 * min(fold + _FOLD, block) + 1]
+            (_, d), (_, e) = _compose(*_rk4_maps(columns, weight), product=_rk4_product)
+            # each tail adds its head, as the marked entry gets both
+            d[:rows] += e[rows:][::-1]
+            e[:rows] += d[rows:][::-1]
+            r = np.add.reduceat(psi, reads)
+            psi += (d * r + e * r[::-1])[gather]
 
     results = []
     for row, schedule in enumerate(schedules):

@@ -246,9 +246,11 @@ class TestBatchOracle:
     def test_matches_dense_reference(self):
         # marks first, last and in the middle of their slices, so the gather
         # index is checked at every slice edge; 1,500 and 2,500 steps end on a
-        # short block, whose coefficient rows are trimmed and whose grid ends
-        # at the window's end, and on a short fold of 100 steps; at 1,030 the
-        # last block is 30 steps, shorter than one fold
+        # short block, whose coefficient columns are trimmed and whose grid
+        # ends at the window's end, and on a short fold of 100 steps; at 1,030
+        # the last block is 30 steps, shorter than one fold, at 1,001 a single
+        # step that the halving leaves as it is, and at 1,101 a fold of 101
+        # steps, odd from its first level on
         scheds = []
         for n in (2, 3, 7):
             first, last, middle = (SearchInstance(n, m) for m in (0, n - 1, n // 2))
@@ -256,7 +258,7 @@ class TestBatchOracle:
                        local_schedule(1.0, 0.2, last),
                        parallel_schedule(1.0, 0.6 * math.sqrt(n), middle, r=8.0),
                        parallel_schedule(1.0, 0.6 * math.sqrt(n), first, r=8.0, shape="erf")]
-        for steps in (self.STEPS, 1030, 1500, 2500):
+        for steps in (self.STEPS, 1001, 1030, 1101, 1500, 2500):
             for sched, result in zip(scheds, propagate_full(scheds, steps=steps)):
                 p_m, p_minus = dense_rk4(sched, steps)
                 assert abs(result.p_m_final - p_m) <= 1e-13
@@ -289,21 +291,21 @@ class TestBatchOracle:
 
     def test_bits_of_every_kind(self):
         # float.hex of each RunResult field, recorded from the loop that
-        # applies each step's folded per-row map; erf rows, which `check`
-        # never runs, included
+        # composes each fold's per-row step maps by pairwise halving; erf
+        # rows, which `check` never runs, included
         expected = [
-            ("0x1.ffe137657ae1ep-1", "0x1.ec8976dd78bcdp-13", "0x1.8ba3400000000p-33"),
-            ("0x1.f4a0e884f637bp-1", "0x1.6be2ef613402fp-6", "0x1.4200000000000p-45"),
-            ("0x1.b79edf2a4a4ffp-1", "0x1.21641d482202ap-3", "0x1.6a00000000000p-44"),
-            ("0x1.9282bb886618dp-1", "0x1.b5f511a046b60p-3", "0x1.4c80000000000p-44"),
-            ("0x1.ff0bd3932a301p-1", "0x1.e858d50ab22fep-10", "0x1.283b700000000p-33"),
-            ("0x1.f904a4441a7dfp-1", "0x1.bed6eef82bbafp-7", "0x1.34d0000000000p-40"),
-            ("0x1.a98fee5bcb19dp-1", "0x1.5953c4ee8aa86p-3", "0x1.08a0000000000p-42"),
-            ("0x1.6f9c3a446d979p-1", "0x1.20c78b062909cp-2", "0x1.c380000000000p-43"),
-            ("0x1.fcd97e3db5d08p-2", "0x1.019340d8e8b4ap-1", "0x1.078c600000000p-31"),
-            ("0x1.f0904a47cde4ep-1", "0x1.edf6b568a6835p-6", "0x1.9d9ce00000000p-31"),
-            ("0x1.ccf4e0a82e445p-1", "0x1.9509771f682c2p-4", "0x1.06aa800000000p-34"),
-            ("0x1.970de92a9965ap-1", "0x1.a3c8571669a17p-3", "0x1.a0fc400000000p-35"),
+            ("0x1.ffe137657ae0ap-1", "0x1.ec8976dd78d0dp-13", "0x1.8ba3e00000000p-33"),
+            ("0x1.f4a0e884f636ep-1", "0x1.6be2ef6134036p-6", "0x1.4800000000000p-45"),
+            ("0x1.b79edf2a4a50dp-1", "0x1.21641d482200ap-3", "0x1.6880000000000p-44"),
+            ("0x1.9282bb886617fp-1", "0x1.b5f511a046b69p-3", "0x1.4f80000000000p-44"),
+            ("0x1.ff0bd3932a2f5p-1", "0x1.e858d50ab25bcp-10", "0x1.283bd00000000p-33"),
+            ("0x1.f904a4441a7efp-1", "0x1.bed6eef82bbcbp-7", "0x1.3490000000000p-40"),
+            ("0x1.a98fee5bcb1a6p-1", "0x1.5953c4ee8aa7ap-3", "0x1.0840000000000p-42"),
+            ("0x1.6f9c3a446d957p-1", "0x1.20c78b06290bcp-2", "0x1.c5c0000000000p-43"),
+            ("0x1.fcd97e3db5d33p-2", "0x1.019340d8e8b65p-1", "0x1.078c080000000p-31"),
+            ("0x1.f0904a47cde73p-1", "0x1.edf6b568a68cbp-6", "0x1.9d9c940000000p-31"),
+            ("0x1.ccf4e0a82e43dp-1", "0x1.9509771f682f4p-4", "0x1.06aa600000000p-34"),
+            ("0x1.970de92a9962fp-1", "0x1.a3c85716699fap-3", "0x1.a102400000000p-35"),
         ]
         scheds = []
         for n in (2, 5, 64):
@@ -318,10 +320,11 @@ class TestBatchOracle:
 
     def test_peak_memory(self, monkeypatch, tmp_path):
         # the couplings are sampled `_FULL_BLOCK` steps at a time and the step
-        # maps folded `_FOLD` steps at a time, so on `check`'s default batch
-        # the traced peak does not grow with the steps, and stays below 1.5 MiB
-        # (1,463 KiB for the loop that took each stage's reads one by one,
-        # 3,443 KiB with whole blocks folded at once)
+        # maps built and composed `_FOLD` steps at a time, so on `check`'s
+        # default batch the traced peak does not grow with the steps, and
+        # stays below 1.5 MiB (1,265 KiB; 1,463 KiB for the loop that took
+        # each stage's reads one by one, 3,443 KiB with whole blocks of step
+        # maps built at once)
         class Recorded(Exception):
             pass
 

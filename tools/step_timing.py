@@ -11,10 +11,12 @@ alike.  A process times three things:
 
 * the batches that two `check` commands hand to `propagate_full`: the
   default one (n 4, 20, 128 at seed 0: nine rows) and the reference
-  command `check_seed_words` (n 2, 3 and 512, the cap, where the
-  full-length work weighs most): per batch one warm-up call, then one
-  call under `tracemalloc` for its traced allocation peak in KiB, then
-  CALLS calls of STEPS steps, the fastest in microseconds per step;
+  command `check_seed_words` (n 2, 3 and 512, the cap: three rows, so
+  small step maps, and the longest state, which is read and written once
+  per fold of steps): per batch one warm-up call, then one call under
+  `tracemalloc` for its traced allocation peak in KiB, then CALLS calls
+  of STEPS steps, the fastest in microseconds per step (call time over
+  steps, so the tables of trees that step differently compare);
 * `propagate` at the default steps on the fixed accuracy probes of the
   benchmark's `summary_sweep` workload (local n = 20, 1e3, 1e4, 1e6 at
   epsilon = 1/11; parallel n = 20, 1e3 at r = 12, T matched to the local
